@@ -398,7 +398,7 @@ func integration(seed int64) (resumed, replayed int, err error) {
 	fsys := store.NewFaultFS(store.FaultConfig{Seed: seed})
 	srv := serve.NewServer(serve.Config{
 		MaxSessions: 8, DrainGrace: 300 * time.Millisecond,
-		JournalDir: journalDir, Store: "segment", FS: fsys,
+		JournalDir: journalDir, FS: fsys,
 	})
 	slow := serve.SessionSpec{
 		ID: "s-slow", Vehicles: 4, Sections: 4,
@@ -421,7 +421,7 @@ func integration(seed int64) (resumed, replayed int, err error) {
 	booted := fsys.Restart(store.FaultConfig{})
 	srv2 := serve.NewServer(serve.Config{
 		MaxSessions: 8, DrainGrace: 300 * time.Millisecond,
-		JournalDir: journalDir, Store: "segment", FS: booted,
+		JournalDir: journalDir, FS: booted,
 	})
 	defer srv2.Close()
 	decisions, err := srv2.ResumeScanned()

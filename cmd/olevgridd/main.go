@@ -11,8 +11,9 @@
 //     sessions finish within -drain-grace, and checkpoints the rest to
 //     the journal directory;
 //   - crash-restart — boot scans -journal-dir and resumes every
-//     interrupted session from its manifest + checkpoint, warm where
-//     the checkpoint decodes, cold otherwise.
+//     interrupted session from its manifest + checkpoint store (a
+//     CRC-framed segment log with snapshot compaction, <id>.store),
+//     warm where the checkpoint decodes, cold otherwise.
 //
 // The admin surface (see internal/serve.Handler):
 //
@@ -34,7 +35,7 @@
 //
 //	olevgridd [-addr :8080] [-max-sessions 1024] [-max-concurrent 0]
 //	          [-drain-grace 5s] [-retry-after 1s] [-max-wall 2m]
-//	          [-journal-dir DIR] [-store file|segment] [-fsync always|interval|never]
+//	          [-journal-dir DIR] [-fsync always|interval|never]
 //	          [-scenario rush-hour-surge]
 package main
 
@@ -69,9 +70,8 @@ func run() error {
 	drainGrace := flag.Duration("drain-grace", 5*time.Second, "how long a drain lets in-flight sessions finish before checkpointing them")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on overload rejections")
 	maxWall := flag.Duration("max-wall", 2*time.Minute, "default per-session wall budget")
-	journalDir := flag.String("journal-dir", "", "directory for session manifests + checkpoints; empty disables durability")
+	journalDir := flag.String("journal-dir", "", "directory for session manifests + checkpoint stores; empty disables durability")
 	wire := flag.String("wire", "", `default V2I frame codec for sessions that don't pick one: "json" (default) or "binary"`)
-	storeKind := flag.String("store", "", `checkpoint backend under -journal-dir: "file" (default, one JSON file per session) or "segment" (append-only log + snapshot compaction)`)
 	fsync := flag.String("fsync", "", `checkpoint durability policy: "always" (default; acked saves survive power loss), "interval" or "never"`)
 	scenarioRef := flag.String("scenario", "", "admit one boot session from this named city archetype or scenario .json file")
 	flag.Parse()
@@ -80,11 +80,6 @@ func run() error {
 	case "", "json", "binary":
 	default:
 		return fmt.Errorf("unknown -wire %q; use \"json\" or \"binary\"", *wire)
-	}
-	switch *storeKind {
-	case "", "file", "segment":
-	default:
-		return fmt.Errorf("unknown -store %q; use \"file\" or \"segment\"", *storeKind)
 	}
 	if _, err := store.ParseFsyncPolicy(*fsync); err != nil {
 		return err
@@ -106,7 +101,6 @@ func run() error {
 		RetryAfter:     *retryAfter,
 		JournalDir:     *journalDir,
 		DefaultWire:    *wire,
-		Store:          *storeKind,
 		Fsync:          *fsync,
 		Registry:       reg,
 		Sink:           sink,

@@ -22,8 +22,10 @@
 //
 // The -tcp mode exposes the resilience knobs: -drop/-dup/-reorder
 // inject chaos on every grid-side link, -evict-after arms the
-// per-vehicle circuit breaker, and -journal persists the last
-// converged schedule so a restarted coordinator warm-starts from it.
+// per-vehicle circuit breaker, and -journal names a checkpoint store
+// directory (a CRC-framed segment log with snapshot compaction, its
+// durability set by -fsync) that persists the last converged schedule
+// so a restarted coordinator warm-starts from it.
 // The control-plane fault knobs stack on top: -crash-at kills the
 // primary coordinator at that round and lets a standby take over off
 // the journaled checkpoint, -autonomy arms every vehicle's
@@ -76,8 +78,7 @@ func run() error {
 	dup := flag.Float64("dup", 0, "tcp: per-frame duplication probability on grid-side links")
 	reorder := flag.Float64("reorder", 0, "tcp: per-frame reorder probability on grid-side links")
 	evictAfter := flag.Int("evict-after", 0, "tcp: evict a vehicle after this many consecutive failed turns (0 disables)")
-	journalPath := flag.String("journal", "", "tcp: checkpoint file (or, with -store segment, directory) for crash recovery (empty disables)")
-	storeKind := flag.String("store", "", `tcp: checkpoint backend for -journal: "file" (default) or "segment" (append-only log + snapshot compaction)`)
+	journalPath := flag.String("journal", "", "tcp: checkpoint store directory for crash recovery (empty disables)")
 	fsyncPolicy := flag.String("fsync", "", `tcp: checkpoint durability policy: "always" (default), "interval" or "never"`)
 	crashAt := flag.Int("crash-at", 0, "tcp: crash the primary coordinator at this round and fail over to a standby (0 disables)")
 	autonomy := flag.Duration("autonomy", 0, "tcp: arm degraded-mode autonomy with this quote deadline (0 disables)")
@@ -143,12 +144,8 @@ func run() error {
 		}
 	}
 
-	switch *storeKind {
-	case "", "file", "segment":
-	default:
-		return fmt.Errorf("unknown -store %q; use \"file\" or \"segment\"", *storeKind)
-	}
-	if _, err := olevgrid.ParseFsyncPolicy(*fsyncPolicy); err != nil {
+	fsync, err := olevgrid.ParseFsyncPolicy(*fsyncPolicy)
+	if err != nil {
 		return err
 	}
 
@@ -181,7 +178,7 @@ func run() error {
 		if err := runTCP(game.Players, game.NumSections, game.LineCapacityKW, game.Eta, game.BetaPerMWh, game.Seed, tcpOptions{
 			drop: *drop, dup: *dup, reorder: *reorder,
 			evictAfter: *evictAfter, journalPath: *journalPath,
-			storeKind: *storeKind, fsync: *fsyncPolicy,
+			fsync:       fsync,
 			parallelism: *parallelism,
 			crashAt:     *crashAt, autonomy: *autonomy,
 			feedDrop: *feedDrop, outages: outages,
@@ -194,8 +191,8 @@ func run() error {
 	if *wireName != "" {
 		return fmt.Errorf("-wire selects the V2I codec; it requires -tcp")
 	}
-	if *storeKind != "" || *fsyncPolicy != "" {
-		return fmt.Errorf("-store/-fsync shape the -journal backend; they require -tcp")
+	if *fsyncPolicy != "" {
+		return fmt.Errorf("-fsync shapes the -journal store; it requires -tcp")
 	}
 	if *crashAt > 0 || *autonomy > 0 || *feedDrop > 0 || *outageSpec != "" {
 		return fmt.Errorf("-crash-at/-autonomy/-feed-drop/-outage require -tcp")
@@ -330,8 +327,7 @@ type tcpOptions struct {
 	drop, dup, reorder float64
 	evictAfter         int
 	journalPath        string
-	storeKind          string
-	fsync              string
+	fsync              olevgrid.FsyncPolicy
 	parallelism        int
 	crashAt            int
 	autonomy           time.Duration
@@ -434,20 +430,12 @@ func runTCP(players []olevgrid.Player, c int, lineCap, eta, beta float64, seed i
 	}
 	var journal olevgrid.Journal
 	if opts.journalPath != "" {
-		if opts.storeKind == "segment" {
-			policy, err := olevgrid.ParseFsyncPolicy(opts.fsync)
-			if err != nil {
-				return err
-			}
-			st, err := olevgrid.OpenStore(opts.journalPath, olevgrid.StoreOptions{Fsync: policy})
-			if err != nil {
-				return err
-			}
-			defer st.Close()
-			journal = olevgrid.NewStoreJournal(st)
-		} else {
-			journal = olevgrid.NewFileJournal(opts.journalPath)
+		st, err := olevgrid.OpenStore(opts.journalPath, olevgrid.StoreOptions{Fsync: opts.fsync})
+		if err != nil {
+			return err
 		}
+		defer st.Close()
+		journal = olevgrid.NewStoreJournal(st)
 	} else if opts.crashAt > 0 {
 		// A failover demo needs a checkpoint to hand the standby.
 		journal = olevgrid.NewMemJournal()

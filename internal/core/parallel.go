@@ -202,9 +202,9 @@ type roundEngine struct {
 	// the bisection in propose actually calls.
 	costMarg func(float64) float64
 	n, c     int
-	workers int
-	batch   int
-	tol     float64 // convergence tolerance; also arms the stall guard
+	workers  int
+	batch    int
+	tol      float64 // convergence tolerance; also arms the stall guard
 
 	// Incrementally maintained aggregates.
 	totals      []float64 // P_c
@@ -289,7 +289,7 @@ func newRoundEngine(g *Game, parallelism, batch int, tol float64) *roundEngine {
 	if e.workers > 1 {
 		e.start = make(chan span)
 		for w := 1; w < e.workers; w++ {
-			go e.worker(e.scratch[w])
+			go e.worker(e.start, e.scratch[w])
 		}
 	}
 	return e
@@ -396,9 +396,11 @@ func (e *roundEngine) congestion() float64 {
 }
 
 // worker is one pool goroutine: on every released span it steals
-// player indices until the span is drained.
-func (e *roundEngine) worker(ws *fillScratch) {
-	for sp := range e.start {
+// player indices until the span is drained. It gets the channel as an
+// argument: stop clears e.start, and a worker that read the field late
+// would range over nil and leak.
+func (e *roundEngine) worker(start <-chan span, ws *fillScratch) {
+	for sp := range start {
 		e.drain(sp, ws)
 		e.pending.Done()
 	}

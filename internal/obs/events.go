@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -108,16 +109,24 @@ func NewEventSink(capacity int) *EventSink {
 }
 
 // Emit records one event. Concurrent emitters claim distinct slots via
-// the seq ticket; a writer that laps a slower one simply overwrites —
-// the ring keeps the *most recent* capacity events, which is the
-// contract the chaos tests rely on.
+// the seq ticket; a writer that laps a slower one waits for it to
+// finish, then overwrites — the ring keeps the *most recent* capacity
+// events, which is the contract the chaos tests rely on.
 func (s *EventSink) Emit(kind EventKind, actor string, round, epoch int32, value float64) {
 	if s == nil {
 		return
 	}
 	seq := s.seq.Add(1)
 	i := int((seq - 1) % uint64(len(s.slots)))
-	s.vers[i].Add(1) // odd: in progress
+	// Claim the slot (even → odd): two writers never interleave field
+	// writes on one slot.
+	for {
+		v := s.vers[i].Load()
+		if v%2 == 0 && s.vers[i].CompareAndSwap(v, v+1) {
+			break
+		}
+		runtime.Gosched()
+	}
 	ev := &s.slots[i]
 	ev.Seq = seq
 	ev.Kind = kind

@@ -819,10 +819,12 @@ func scatterFrom(vs []float64, idx []int, width int) []float64 {
 
 // isDeparture reports whether an exchange failure means the vehicle's
 // link is gone for good (as opposed to a transient timeout): a closed
-// in-memory pair, a closed/ended TCP connection, or an explicit Bye.
+// in-memory pair or pipe, a closed/ended TCP connection, or an
+// explicit Bye.
 func isDeparture(err error) bool {
 	return errors.Is(err, v2i.ErrClosed) || errors.Is(err, io.EOF) ||
-		errors.Is(err, net.ErrClosed) || errors.Is(err, errVehicleLeft)
+		errors.Is(err, io.ErrClosedPipe) || errors.Is(err, net.ErrClosed) ||
+		errors.Is(err, errVehicleLeft)
 }
 
 // errVehicleLeft marks a Bye received where a Request was expected.

@@ -12,15 +12,26 @@ import (
 )
 
 // TestDepartingVehicleDropped: one agent hangs up after its first
-// exchange. With DropDeparted the coordinator must release its power,
-// keep the rest of the fleet, and still converge.
+// exchanges. With DropDeparted the coordinator must recognise the
+// closed link as a departure on every transport — release its power
+// at once without burning retries on it, keep the rest of the fleet,
+// and still converge.
 func TestDepartingVehicleDropped(t *testing.T) {
+	for name, pair := range map[string]func() (v2i.Transport, v2i.Transport){
+		"channel-pair": func() (v2i.Transport, v2i.Transport) { return v2i.NewPair(8) },
+		"binary-pipe":  func() (v2i.Transport, v2i.Transport) { return v2i.NewPipePair(v2i.WireBinary) },
+	} {
+		t.Run(name, func(t *testing.T) { testDepartingVehicleDropped(t, pair) })
+	}
+}
+
+func testDepartingVehicleDropped(t *testing.T, pair func() (v2i.Transport, v2i.Transport)) {
 	const n = 5
 	links := make(map[string]v2i.Transport, n)
 	vehicleSides := make(map[string]v2i.Transport, n)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("ev-%02d", i)
-		gridSide, vehicleSide := v2i.NewPair(8)
+		gridSide, vehicleSide := pair()
 		links[id] = gridSide
 		vehicleSides[id] = vehicleSide
 	}
@@ -41,14 +52,19 @@ func TestDepartingVehicleDropped(t *testing.T) {
 	defer cancel()
 
 	var wg sync.WaitGroup
-	// Four well-behaved agents.
-	for i := 1; i < n; i++ {
+	// Four well-behaved agents, and one quitter that hangs up its link
+	// after its second schedule.
+	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("ev-%02d", i)
+		link := vehicleSides[id]
+		if i == 0 {
+			link = &hangUpAfter{Transport: link, schedules: 2}
+		}
 		agent, err := NewAgent(AgentConfig{
 			VehicleID:    id,
 			MaxPowerKW:   60,
 			Satisfaction: core.LogSatisfaction{Weight: 1},
-		}, vehicleSides[id])
+		}, link)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,35 +74,6 @@ func TestDepartingVehicleDropped(t *testing.T) {
 			_, _ = a.Run(ctx)
 		}(agent)
 	}
-	// One quitter: answers a couple of quotes, then closes its link.
-	quitter := vehicleSides["ev-00"]
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for round := 0; round < 2; round++ {
-			env, err := quitter.Recv(ctx)
-			if err != nil {
-				return
-			}
-			var q v2i.Quote
-			if err := v2i.Open(env, v2i.TypeQuote, &q); err != nil {
-				return
-			}
-			out, err := v2i.Seal(v2i.TypeRequest, "ev-00", uint64(round+1), v2i.Request{
-				VehicleID: "ev-00", TotalKW: 55, Round: q.Round, Epoch: q.Epoch,
-			})
-			if err != nil {
-				return
-			}
-			if err := quitter.Send(ctx, out); err != nil {
-				return
-			}
-			if _, err := quitter.Recv(ctx); err != nil { // schedule msg
-				return
-			}
-		}
-		_ = quitter.Close()
-	}()
 
 	report, err := coord.Run(ctx)
 	if err != nil {
@@ -100,6 +87,9 @@ func TestDepartingVehicleDropped(t *testing.T) {
 
 	if report.Departed != 1 {
 		t.Errorf("Departed = %d, want 1", report.Departed)
+	}
+	if report.Retries != 0 || report.Evicted != 0 {
+		t.Errorf("departure cost %d retries and %d evictions, want 0 and 0", report.Retries, report.Evicted)
 	}
 	if !report.Converged {
 		t.Errorf("fleet did not re-converge after departure (%d rounds)", report.Rounds)
@@ -115,6 +105,23 @@ func TestDepartingVehicleDropped(t *testing.T) {
 			t.Errorf("remaining vehicle %s got no power", id)
 		}
 	}
+}
+
+// hangUpAfter is a vehicle link that closes itself once the vehicle
+// has received its schedules-th schedule: the vehicle drives off.
+type hangUpAfter struct {
+	v2i.Transport
+	schedules int
+}
+
+func (h *hangUpAfter) Recv(ctx context.Context) (v2i.Envelope, error) {
+	env, err := h.Transport.Recv(ctx)
+	if err == nil && env.Type == v2i.TypeSchedule {
+		if h.schedules--; h.schedules == 0 {
+			_ = h.Transport.Close()
+		}
+	}
+	return env, err
 }
 
 // TestAllVehiclesDepart: the run ends cleanly when everyone leaves.

@@ -2,9 +2,7 @@ package sched
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"math"
 	"sync"
 
@@ -125,76 +123,11 @@ func (j *MemJournal) Load() (Checkpoint, bool, error) {
 	return j.cp.clone(), true, nil
 }
 
-// FileJournal persists checkpoints as a single JSON file through the
-// durability layer's atomic-rename write: temp file, fsync, rename,
-// directory fsync. A crash mid-save never corrupts the last good
-// checkpoint, and — unlike the pre-store rename-only version — a
-// power loss right after a nil Save return can never roll the
-// checkpoint back either.
-type FileJournal struct {
-	mu   sync.Mutex
-	path string
-	fsys store.FS
-}
-
-var _ Journal = (*FileJournal)(nil)
-
-// NewFileJournal journals to path; the file is created on first Save.
-func NewFileJournal(path string) *FileJournal {
-	return &FileJournal{path: path, fsys: store.OS}
-}
-
-// NewFileJournalFS is NewFileJournal over an injected filesystem —
-// the seam the crash-consistency regression tests drive a FaultFS
-// through.
-func NewFileJournalFS(fsys store.FS, path string) *FileJournal {
-	if fsys == nil {
-		fsys = store.OS
-	}
-	return &FileJournal{path: path, fsys: fsys}
-}
-
-// Save implements Journal.
-func (j *FileJournal) Save(cp Checkpoint) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	raw, err := json.Marshal(cp)
-	if err != nil {
-		return fmt.Errorf("sched: marshal checkpoint: %w", err)
-	}
-	if err := store.WriteFileAtomic(j.fsys, j.path, raw); err != nil {
-		return fmt.Errorf("sched: checkpoint save: %w", err)
-	}
-	return nil
-}
-
-// Load implements Journal. Failures keep their nature: a transient
-// read error (permissions blip, EIO) surfaces with its os error chain
-// intact, while bytes that are present but undecodable are marked
-// with store.ErrCorrupt — so callers like the boot journal scan can
-// tell "retry might work" from "the data is gone".
-func (j *FileJournal) Load() (Checkpoint, bool, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	raw, err := j.fsys.ReadFile(j.path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return Checkpoint{}, false, nil
-	}
-	if err != nil {
-		return Checkpoint{}, false, fmt.Errorf("sched: checkpoint read: %w", err)
-	}
-	cp, err := DecodeCheckpoint(raw)
-	if err != nil {
-		return Checkpoint{}, false, fmt.Errorf("%w: %v", store.ErrCorrupt, err)
-	}
-	return cp, true, nil
-}
-
 // StoreJournal adapts a durable segment store (store.SegmentStore or
 // any store.Store) to the Journal interface: each Save appends one
 // framed checkpoint record, compaction bounds the log, and Load
-// decodes whatever the store recovered. This is the journal the
-// daemon's "-store segment" sessions run on.
+// decodes whatever the store recovered. This is the on-disk journal:
+// every durable daemon session and pricing-game -journal run on it.
 type StoreJournal struct {
 	s store.Store
 }

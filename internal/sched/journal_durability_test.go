@@ -2,16 +2,16 @@ package sched
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"olevgrid/internal/store"
 )
 
-// The durability regressions for PR 9's fsync fix: a FileJournal Save
-// that returns nil must survive a power loss, and Load must tell
-// transient I/O failures from corrupt bytes.
+// Journal-level durability tests for the segment-store adapter. The
+// atomic-write and crash-ladder proofs live in internal/store; these
+// pin what the adapter adds on top: the Journal contract across a
+// reopen, and the corrupt-payload verdict the boot scan branches on.
 
 func durCheckpoint(round int) Checkpoint {
 	return Checkpoint{
@@ -20,94 +20,24 @@ func durCheckpoint(round int) Checkpoint {
 	}
 }
 
-// TestFileJournalSaveSurvivesCrash is the crash-before-fsync
-// regression: the pre-store Save renamed without fsync, so the fault
-// filesystem's crash model — like a real power loss — could roll an
-// acked checkpoint back. With the shared atomic write it cannot.
-func TestFileJournalSaveSurvivesCrash(t *testing.T) {
+// TestStoreJournalLoadCorrupt: a record whose CRC frame is intact but
+// whose payload fails DecodeCheckpoint is corrupt data, not an I/O
+// blip — Load must wrap store.ErrCorrupt so callers can tell "the data
+// is gone" from "retry might work".
+func TestStoreJournalLoadCorrupt(t *testing.T) {
 	fsys := store.NewFaultFS(store.FaultConfig{Seed: 1})
-	if err := fsys.MkdirAll("/j", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	j := NewFileJournalFS(fsys, "/j/cp.json")
-	if err := j.Save(durCheckpoint(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Save(durCheckpoint(4)); err != nil {
-		t.Fatal(err)
-	}
-	booted := fsys.Restart(store.FaultConfig{})
-	cp, ok, err := NewFileJournalFS(booted, "/j/cp.json").Load()
-	if err != nil || !ok {
-		t.Fatalf("acked checkpoint lost across crash: ok=%v err=%v", ok, err)
-	}
-	if cp.Round != 4 {
-		t.Fatalf("recovered round %d, want 4 (the last acked save)", cp.Round)
-	}
-}
-
-// TestFileJournalSaveCrashMatrix sweeps a crash through every
-// filesystem operation of a second Save: recovery must always see
-// round 1 or round 2, and must see round 2 once Save acked it.
-func TestFileJournalSaveCrashMatrix(t *testing.T) {
-	const path = "/j/cp.json"
-	run := func(crashAt int64) (acked bool, fsys *store.FaultFS) {
-		fsys = store.NewFaultFS(store.FaultConfig{Seed: 9, CrashAtOp: crashAt})
-		_ = fsys.MkdirAll("/j", 0o755)
-		j := NewFileJournalFS(fsys, path)
-		if err := j.Save(durCheckpoint(1)); err != nil {
-			t.Fatalf("crash %d: first save: %v", crashAt, err)
-		}
-		return j.Save(durCheckpoint(2)) == nil, fsys
-	}
-	dry := store.NewFaultFS(store.FaultConfig{Seed: 9})
-	_ = dry.MkdirAll("/j", 0o755)
-	jd := NewFileJournalFS(dry, path)
-	_ = jd.Save(durCheckpoint(1))
-	base := dry.Ops()
-	_ = jd.Save(durCheckpoint(2))
-	for crash := base + 1; crash <= dry.Ops(); crash++ {
-		acked, fsys := run(crash)
-		cp, ok, err := NewFileJournalFS(fsys.Restart(store.FaultConfig{}), path).Load()
-		if err != nil || !ok {
-			t.Fatalf("crash %d: no valid checkpoint after crash: ok=%v err=%v", crash, ok, err)
-		}
-		if cp.Round != 1 && cp.Round != 2 {
-			t.Fatalf("crash %d: recovered round %d, want 1 or 2", crash, cp.Round)
-		}
-		if acked && cp.Round != 2 {
-			t.Fatalf("crash %d: save acked round 2 but crash rolled back to %d", crash, cp.Round)
-		}
-	}
-}
-
-// TestFileJournalLoadTransientVsCorrupt: a read error keeps its os
-// chain (retry may work), undecodable bytes are marked ErrCorrupt
-// (the data is gone) — the distinction the boot journal scan branches
-// on.
-func TestFileJournalLoadTransientVsCorrupt(t *testing.T) {
-	fsys := store.NewFaultFS(store.FaultConfig{Seed: 1})
-	_ = fsys.MkdirAll("/j", 0o755)
-	j := NewFileJournalFS(fsys, "/j/cp.json")
-	if err := j.Save(durCheckpoint(1)); err != nil {
-		t.Fatal(err)
-	}
-
-	sentinel := errors.New("injected EIO")
-	fsys.SetReadError("/j/cp.json", sentinel)
-	if _, _, err := j.Load(); !errors.Is(err, sentinel) || errors.Is(err, store.ErrCorrupt) {
-		t.Fatalf("transient load err = %v; want the os chain, not ErrCorrupt", err)
-	}
-	fsys.SetReadError("/j/cp.json", nil)
-
-	h, err := fsys.OpenFile("/j/cp.json", os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	st, err := store.Open("/j/cp.store", store.Options{FS: fsys})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Write([]byte("{not json")); err != nil {
+	defer st.Close()
+	j := NewStoreJournal(st)
+	if err := j.Save(durCheckpoint(1)); err != nil {
 		t.Fatal(err)
 	}
-	_ = h.Close()
+	if err := st.Append([]byte(`{"epoch":1,"round":-3,"num_sections":2}`)); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := j.Load(); !errors.Is(err, store.ErrCorrupt) {
 		t.Fatalf("corrupt load err = %v; want ErrCorrupt", err)
 	}

@@ -4,51 +4,15 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"olevgrid/internal/core"
+	"olevgrid/internal/store"
 	"olevgrid/internal/v2i"
 )
-
-func TestFileJournalRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "checkpoint.json")
-	j := NewFileJournal(path)
-
-	if _, ok, err := j.Load(); err != nil || ok {
-		t.Fatalf("empty journal Load = ok=%v err=%v", ok, err)
-	}
-	cp := Checkpoint{
-		Epoch:       17,
-		Round:       4,
-		NumSections: 3,
-		Schedule:    map[string][]float64{"ev-1": {1, 2, 3}, "ev-2": {0, 0.5, 0}},
-	}
-	if err := j.Save(cp); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := j.Load()
-	if err != nil || !ok {
-		t.Fatalf("Load = ok=%v err=%v", ok, err)
-	}
-	if got.Epoch != 17 || got.Round != 4 || got.NumSections != 3 {
-		t.Errorf("header mismatch: %+v", got)
-	}
-	if got.Schedule["ev-1"][2] != 3 || got.Schedule["ev-2"][1] != 0.5 {
-		t.Errorf("schedule mismatch: %+v", got.Schedule)
-	}
-
-	// A corrupt file is an error, not a silent empty journal.
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := j.Load(); err == nil {
-		t.Error("corrupt checkpoint loaded without error")
-	}
-}
 
 func TestMemJournalIsolation(t *testing.T) {
 	j := NewMemJournal()
@@ -129,9 +93,18 @@ func runJournaledEpisode(t *testing.T, n int, journal Journal) (Report, *Coordin
 // it, warm-starts, and lands on the same equilibrium at least as
 // fast.
 func TestCheckpointAndWarmRestart(t *testing.T) {
-	journal := NewFileJournal(filepath.Join(t.TempDir(), "grid.ckpt"))
+	dir := filepath.Join(t.TempDir(), "grid.store")
+	openStore := func() *store.SegmentStore {
+		st, err := store.Open(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 
-	first, c1 := runJournaledEpisode(t, 4, journal)
+	st := openStore()
+	first, c1 := runJournaledEpisode(t, 4, NewStoreJournal(st))
+	_ = st.Close()
 	if !first.Converged {
 		t.Fatalf("episode 1 did not converge: %+v", first)
 	}
@@ -143,8 +116,10 @@ func TestCheckpointAndWarmRestart(t *testing.T) {
 	}
 
 	// "Crash": the first coordinator is discarded; a new process
-	// restores from disk.
-	second, c2 := runJournaledEpisode(t, 4, journal)
+	// reopens the store and restores from disk.
+	st = openStore()
+	defer st.Close()
+	second, c2 := runJournaledEpisode(t, 4, NewStoreJournal(st))
 	if !c2.Restored() {
 		t.Fatal("restart did not restore the checkpoint")
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -17,13 +16,11 @@ import (
 // durable session leaves its state in the journal directory — a
 // manifest (the spec plus the last known lifecycle state, written
 // through the store layer's atomic-rename-with-fsync) and the
-// coordinator's checkpoint, either a single JSON file or a segment
-// store directory (Config.Store). On boot the daemon scans the
-// directory and decides, per session, whether to resume it, leave it
-// complete, or skip it as unreadable. The decision function is pure
-// and table-tested over mixed directories (complete, mid-run,
-// truncated, corrupt, transient-unreadable, store-backed), reusing
-// the FuzzJournalDecode corpus shapes.
+// coordinator's checkpoint journal, a segment store directory. On boot
+// the daemon scans the directory and decides, per session, whether to
+// resume it, leave it complete, or skip it as unreadable. The decision
+// function is pure and table-tested over mixed directories (complete,
+// warm and cold mid-run, torn, corrupt, transient-unreadable).
 
 // Manifest is the durable per-session record beside the checkpoint.
 type Manifest struct {
@@ -33,12 +30,10 @@ type Manifest struct {
 	State State `json:"state"`
 }
 
-// manifestPath and checkpointPath name a session's two durable files;
-// storeDirPath names its segment-store directory under "-store
-// segment".
-func manifestPath(dir, id string) string   { return filepath.Join(dir, id+".manifest.json") }
-func checkpointPath(dir, id string) string { return filepath.Join(dir, id+".checkpoint.json") }
-func storeDirPath(dir, id string) string   { return filepath.Join(dir, id+".store") }
+// manifestPath names a session's manifest file and storeDirPath its
+// checkpoint store directory.
+func manifestPath(dir, id string) string { return filepath.Join(dir, id+".manifest.json") }
+func storeDirPath(dir, id string) string { return filepath.Join(dir, id+".store") }
 
 // writeManifest persists the manifest through the store layer's
 // crash-consistent write: temp file, fsync, rename, directory fsync.
@@ -109,9 +104,9 @@ type Decision struct {
 	// false when the session never checkpointed (cold resume).
 	Checkpoint    sched.Checkpoint
 	HasCheckpoint bool
-	// Store carries the segment store's recovery and compaction stats
-	// for store-backed checkpoints (zero value for JSON-file ones):
-	// what was recovered, how many torn/corrupt records the open
+	// Store carries the checkpoint store's recovery and compaction
+	// stats (zero value when the session has no store): what was
+	// recovered, how many torn/corrupt records the open
 	// repaired, and the current snapshot/segment footprint.
 	Store store.Stats
 }
@@ -165,35 +160,21 @@ func decide(fsys store.FS, dir, id string) Decision {
 		return d
 	}
 	// Mid-run (pending/running at crash time, or interrupted by a
-	// drain): resumable, warm if the checkpoint decodes. A segment
-	// store directory takes precedence over a legacy JSON file.
-	if ok, err := fsys.DirExists(storeDirPath(dir, id)); err == nil && ok {
-		return decideStore(fsys, dir, id, d)
-	}
-	raw, err := fsys.ReadFile(checkpointPath(dir, id))
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
+	// drain): resumable, warm if the store holds a checkpoint that
+	// decodes, cold if the session never opened one. A failed stat
+	// falls through to the store open, which reports it.
+	if ok, err := fsys.DirExists(storeDirPath(dir, id)); err == nil && !ok {
 		d.Action = ActionResume
 		d.Reason = "no checkpoint; cold resume from spec"
 		return d
-	case err != nil:
-		d.Action = ActionSkip
-		d.Transient = true
-		d.Reason = fmt.Sprintf("checkpoint unreadable (transient, retry may succeed): %v", err)
-		return d
 	}
-	cp, err := sched.DecodeCheckpoint(raw)
-	if err != nil {
-		d.Action = ActionSkip
-		d.Reason = fmt.Sprintf("checkpoint corrupt: %v", err)
-		return d
-	}
-	return finishDecision(d, m, cp)
+	return decideStore(fsys, dir, id, d)
 }
 
-// decideStore recovers a segment-store-backed checkpoint. Opening the
-// store runs its recovery (torn-tail truncation, corrupt-record
-// skipping, snapshot fallback), whose stats ride on the decision.
+// decideStore recovers a session's checkpoint from its store and
+// applies the geometry gate. Opening the store runs its recovery
+// (torn-tail truncation, corrupt-record skipping, snapshot fallback),
+// whose stats ride on the decision.
 func decideStore(fsys store.FS, dir, id string, d Decision) Decision {
 	st, err := store.Open(storeDirPath(dir, id), store.Options{FS: fsys})
 	if err != nil {
@@ -216,17 +197,6 @@ func decideStore(fsys store.FS, dir, id string, d Decision) Decision {
 		d.Reason = fmt.Sprintf("checkpoint corrupt: %v", err)
 		return d
 	}
-	d = finishDecision(d, Manifest{Spec: d.Spec}, cp)
-	if d.Action == ActionResume && (d.Store.TornTruncated > 0 || d.Store.CorruptSkipped > 0) {
-		d.Reason += fmt.Sprintf(" (store repaired: %d torn tails truncated, %d corrupt records skipped)",
-			d.Store.TornTruncated, d.Store.CorruptSkipped)
-	}
-	return d
-}
-
-// finishDecision applies the geometry gate and fills the warm-resume
-// fields.
-func finishDecision(d Decision, m Manifest, cp sched.Checkpoint) Decision {
 	if cp.NumSections != d.Spec.Sections {
 		d.Action = ActionSkip
 		d.Reason = fmt.Sprintf("checkpoint has %d sections, spec %d", cp.NumSections, d.Spec.Sections)
@@ -234,6 +204,10 @@ func finishDecision(d Decision, m Manifest, cp sched.Checkpoint) Decision {
 	}
 	d.Action = ActionResume
 	d.Reason = fmt.Sprintf("warm resume from round %d", cp.Round)
+	if d.Store.TornTruncated > 0 || d.Store.CorruptSkipped > 0 {
+		d.Reason += fmt.Sprintf(" (store repaired: %d torn tails truncated, %d corrupt records skipped)",
+			d.Store.TornTruncated, d.Store.CorruptSkipped)
+	}
 	d.Checkpoint = cp
 	d.HasCheckpoint = true
 	return d

@@ -45,15 +45,15 @@ type Config struct {
 	// "binary" the length-prefixed binary codec. Per-session specs
 	// override it.
 	DefaultWire string
-	// Store picks the checkpoint persistence backend under JournalDir:
-	// "" or "file" keeps the single-JSON-file journal, "segment" the
-	// append-only segment store with snapshot compaction (one
-	// <id>.store directory per session).
+	// Store is ignored: every durable session checkpoints to its own
+	// segment store (<id>.store under JournalDir).
+	//
+	// Deprecated: the segment store is the only checkpoint backend.
 	Store string
-	// Fsync is the durability policy for checkpoint writes: "" or
+	// Fsync is the durability policy for checkpoint appends: "" or
 	// "always" (a nil Save survives any crash), "interval" (bounded
-	// loss), "never" (the pre-store behavior). Manifests always get
-	// the full fsync sequence — they are tiny and rare.
+	// loss), "never" (no fsync). Manifests always get the full fsync
+	// sequence — they are tiny and rare.
 	Fsync string
 	// FS is the filesystem seam for all durable writes; nil means the
 	// real filesystem. The crash harness injects a store.FaultFS here.
@@ -78,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.Store == "" {
-		c.Store = "file"
 	}
 	if c.FS == nil {
 		c.FS = store.OS
@@ -297,16 +294,18 @@ func (s *Server) List() []View {
 }
 
 // finish moves a session to a terminal state and releases its slot.
+// The manifest is written first, so a session observed terminal is
+// already terminal on disk and a reboot will not resume it.
 func (s *Server) finish(sess *Session, st State, errMsg string) {
-	sess.mu.Lock()
-	sess.state = st
-	sess.errMsg = errMsg
-	sess.mu.Unlock()
-
 	if s.cfg.JournalDir != "" {
 		// interrupted stays resumable: the manifest keeps saying so.
 		_ = writeManifest(s.cfg.FS, s.cfg.JournalDir, sess.ID, Manifest{Spec: sess.spec, State: st})
 	}
+
+	sess.mu.Lock()
+	sess.state = st
+	sess.errMsg = errMsg
+	sess.mu.Unlock()
 
 	<-s.sem
 	s.mu.Lock()
@@ -326,27 +325,22 @@ func (s *Server) finish(sess *Session, st State, errMsg string) {
 	}
 }
 
-// sessionJournal builds one session's checkpoint journal per the
-// configured store backend. The closer releases the backend when the
-// session ends (the segment store holds an open segment handle); the
-// file backend has nothing to release.
+// sessionJournal opens one session's checkpoint store. The closer
+// releases it when the session ends (the store holds an open segment
+// handle).
 func (s *Server) sessionJournal(id string) (sched.Journal, func(), error) {
-	noop := func() {}
 	if s.cfg.JournalDir == "" {
-		return nil, noop, nil
+		return nil, func() {}, nil
 	}
-	if s.cfg.Store == "segment" {
-		st, err := store.Open(storeDirPath(s.cfg.JournalDir, id), store.Options{
-			FS:      s.cfg.FS,
-			Fsync:   s.fsync,
-			Metrics: s.stm,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("serve: open checkpoint store: %w", err)
-		}
-		return sched.NewStoreJournal(st), func() { _ = st.Close() }, nil
+	st, err := store.Open(storeDirPath(s.cfg.JournalDir, id), store.Options{
+		FS:      s.cfg.FS,
+		Fsync:   s.fsync,
+		Metrics: s.stm,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: open checkpoint store: %w", err)
 	}
-	return sched.NewFileJournalFS(s.cfg.FS, checkpointPath(s.cfg.JournalDir, id)), noop, nil
+	return sched.NewStoreJournal(st), func() { _ = st.Close() }, nil
 }
 
 // runSession is a session's whole life on its own goroutine: fleet

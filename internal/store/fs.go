@@ -138,7 +138,7 @@ func (osFS) SyncDir(dir string) error {
 // it, rename it over path, fsync the parent directory. Either the old
 // content or the new content survives a crash at any point — never a
 // torn mix, and never an "acked" write that a power loss silently
-// rolls back (the bug the pre-store FileJournal and manifest writers
+// rolls back (the bug the pre-store checkpoint and manifest writers
 // had: rename with no fsync). A nil fsys uses the real filesystem.
 func WriteFileAtomic(fsys FS, path string, data []byte) error {
 	return writeFileAtomic(fsys, path, data, true, nil)

@@ -52,10 +52,11 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	return FsyncAlways, fmt.Errorf(`store: unknown fsync policy %q; use "always", "interval" or "never"`, s)
 }
 
-// Store is the pluggable durable-store surface: a sequence of record
-// versions of which the latest wins (journal semantics). SegmentStore
-// is the on-disk implementation; sched.MemJournal stays the in-memory
-// one above this layer.
+// Store is the durable-store surface: a sequence of record versions
+// of which the latest wins (journal semantics). SegmentStore is the
+// only on-disk implementation and, through sched.StoreJournal, the
+// only on-disk checkpoint journal; sched.MemJournal is the in-memory
+// journal above this layer.
 type Store interface {
 	// Append durably stores the next record version. A nil return is
 	// the durability acknowledgement under the store's fsync policy.

@@ -278,13 +278,10 @@ var (
 	ListenV2I = v2i.Listen
 	// ServeJoins accepts mid-iteration vehicle joins on a listener.
 	ServeJoins = sched.ServeJoins
-	// NewFileJournal persists checkpoints to a file, atomically and
-	// durably (fsync before and after the rename).
-	NewFileJournal = sched.NewFileJournal
 	// NewMemJournal keeps checkpoints in process memory.
 	NewMemJournal = sched.NewMemJournal
 	// NewStoreJournal adapts a durable segment store to the Journal
-	// interface.
+	// interface: the on-disk checkpoint journal.
 	NewStoreJournal = sched.NewStoreJournal
 	// OpenStore opens (creating if needed) a segment store directory:
 	// an append-only CRC32C-framed log with torn-tail repair and
