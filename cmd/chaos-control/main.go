@@ -288,7 +288,7 @@ func runChaos(file *chaosFile, n, c int, seed int64, crashAt int, feedDrop float
 		NumSections: c, LineCapacityKW: 53.55, Cost: spec,
 		Tolerance: 1e-3, MaxRounds: 200,
 		RoundTimeout: 25 * time.Millisecond, MaxRetries: 8,
-		RetryBackoff: 3 * time.Millisecond,
+		RetryBackoff:     3 * time.Millisecond,
 		SkipUnresponsive: true, DropDeparted: true, EvictAfter: 10,
 		Seed:    seed,
 		Journal: journal, CheckpointEvery: 1,

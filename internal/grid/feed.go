@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"olevgrid/internal/obs"
 	"olevgrid/internal/stats"
 )
 
@@ -92,41 +91,6 @@ type LBMPFeed struct {
 	dropouts int
 	held     int
 	maxAge   int
-
-	fm *FeedMetrics // nil unless Instrument armed it
-}
-
-// FeedMetrics mirrors the feed's internal accounting onto obs
-// instruments so the control plane's exogenous-fault exposure shows up
-// next to the solver telemetry. The counters track the legacy
-// Dropouts/Held accessors one-for-one; Age is the current dark-stretch
-// length and Beta the last price served.
-type FeedMetrics struct {
-	Dropouts *obs.Counter
-	Held     *obs.Counter
-	Age      *obs.Gauge
-	Beta     *obs.Gauge
-	Sink     *obs.EventSink
-}
-
-// NewFeedMetrics registers the feed metric catalog on r (see DESIGN.md
-// §11); r and sink may each be nil.
-func NewFeedMetrics(r *obs.Registry, sink *obs.EventSink) *FeedMetrics {
-	return &FeedMetrics{
-		Dropouts: r.Counter("olev_feed_dropouts_total"),
-		Held:     r.Counter("olev_feed_held_total"),
-		Age:      r.Gauge("olev_feed_staleness_steps"),
-		Beta:     r.Gauge("olev_feed_beta_per_mwh"),
-		Sink:     sink,
-	}
-}
-
-// Instrument arms the feed with an obs bundle; nil disarms. Existing
-// internal counts are not replayed — arm before sampling.
-func (f *LBMPFeed) Instrument(m *FeedMetrics) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.fm = m
 }
 
 // NewLBMPFeed wraps a β source (step → price) with a fault plan.
@@ -160,10 +124,6 @@ func (f *LBMPFeed) Sample(step int) (float64, bool) {
 		f.cur = f.src(step)
 		f.haveGood = true
 		f.age = 0
-		if f.fm != nil {
-			f.fm.Age.Set(0)
-			f.fm.Beta.Set(f.cur)
-		}
 		return f.cur, true
 	}
 	f.dropouts++
@@ -171,36 +131,18 @@ func (f *LBMPFeed) Sample(step int) (float64, bool) {
 	if f.age > f.maxAge {
 		f.maxAge = f.age
 	}
-	if f.fm != nil {
-		f.fm.Dropouts.Inc()
-		f.fm.Age.Set(float64(f.age))
-		f.fm.Sink.Emit(obs.EventFeedDropout, "feed", int32(step), -1, f.cur)
-	}
 	if !f.haveGood {
 		f.held++
-		f.fm.heldOne()
 		return 0, false
 	}
 	if f.cfg.Decay > 0 && f.cfg.Decay < 1 {
 		f.cur = f.cfg.FloorBeta + (f.cur-f.cfg.FloorBeta)*f.cfg.Decay
 	}
-	if f.fm != nil {
-		f.fm.Beta.Set(f.cur)
-	}
 	if f.cfg.StalenessCeiling > 0 && f.age > f.cfg.StalenessCeiling {
 		f.held++
-		f.fm.heldOne()
 		return f.cur, false
 	}
 	return f.cur, true
-}
-
-// heldOne bumps the held counter; nil-safe like every obs hook.
-func (m *FeedMetrics) heldOne() {
-	if m == nil {
-		return
-	}
-	m.Held.Inc()
 }
 
 // Dropouts reports how many samples were lost to the fault plan.

@@ -3,8 +3,6 @@ package grid
 import (
 	"math"
 	"testing"
-
-	"olevgrid/internal/obs"
 )
 
 func mustFeed(t *testing.T, src func(int) float64, cfg FeedConfig) *LBMPFeed {
@@ -132,51 +130,5 @@ func TestFeedConfigValidate(t *testing.T) {
 	}
 	if _, err := NewLBMPFeed(nil, FeedConfig{}); err == nil {
 		t.Fatal("nil source accepted")
-	}
-}
-
-// TestFeedMetricsMirrorLegacyCounters arms an instrumented feed and
-// drives it through dropouts, a scripted dark window, samples held at
-// the staleness ceiling, and an identical uninstrumented twin: the obs
-// counters must equal the legacy Dropouts/Held accessors exactly, the
-// served prices must be untouched by instrumentation, and the sink
-// must hold one dropout event per lost sample.
-func TestFeedMetricsMirrorLegacyCounters(t *testing.T) {
-	src := func(i int) float64 { return 25 + float64(i%7) }
-	cfg := FeedConfig{
-		DropRate:         0.3,
-		Windows:          []FeedWindow{{From: 10, To: 14}},
-		Decay:            0.8,
-		FloorBeta:        5,
-		StalenessCeiling: 2,
-		Seed:             99,
-	}
-	bare := mustFeed(t, src, cfg)
-	inst := mustFeed(t, src, cfg)
-	reg := obs.NewRegistry()
-	sink := obs.NewEventSink(256)
-	inst.Instrument(NewFeedMetrics(reg, sink))
-
-	const steps = 100
-	for i := 0; i < steps; i++ {
-		wantBeta, wantOK := bare.Sample(i)
-		gotBeta, gotOK := inst.Sample(i)
-		if gotBeta != wantBeta || gotOK != wantOK {
-			t.Fatalf("step %d: instrumented sample (%v, %v) != bare (%v, %v)",
-				i, gotBeta, gotOK, wantBeta, wantOK)
-		}
-	}
-	fm := inst.fm
-	if got, want := fm.Dropouts.Value(), uint64(inst.Dropouts()); got != want {
-		t.Errorf("dropouts counter = %d, accessor = %d", got, want)
-	}
-	if got, want := fm.Held.Value(), uint64(inst.Held()); got != want {
-		t.Errorf("held counter = %d, accessor = %d", got, want)
-	}
-	if inst.Dropouts() == 0 || inst.Held() == 0 {
-		t.Fatal("fault plan injected nothing — the mirror test measured nothing")
-	}
-	if got := sink.Emitted(); got != uint64(inst.Dropouts()) {
-		t.Errorf("sink emitted %d events, dropouts = %d", got, inst.Dropouts())
 	}
 }

@@ -28,8 +28,6 @@ const (
 	EventDegraded
 	// EventReconnect marks an agent leaving degraded mode.
 	EventReconnect
-	// EventFeedDropout is a lost LBMP sample (Value = held price).
-	EventFeedDropout
 	// EventOutage is a section taken down (Value = section index).
 	EventOutage
 	// EventRestore is a section brought back (Value = section index).
@@ -54,8 +52,6 @@ func (k EventKind) String() string {
 		return "degraded"
 	case EventReconnect:
 		return "reconnect"
-	case EventFeedDropout:
-		return "feed_dropout"
 	case EventOutage:
 		return "outage"
 	case EventRestore:

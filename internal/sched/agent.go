@@ -30,12 +30,12 @@ type AgentConfig struct {
 	// local proportional-fair setpoint instead of blocking forever.
 	// Nil keeps the pre-failover blocking behavior.
 	Autonomy *AutonomyConfig
-	// Metrics, if non-nil, mirrors the degraded-mode accounting
-	// (DegradedEpisodes/Reconnects/Heartbeats) onto shared obs gauges
-	// as the events happen and emits degraded/reconnect spans; the
-	// autonomy conformance test proves the gauges equal the legacy
-	// AgentResult counters. A fleet may share one bundle — the gauge
-	// Add is CAS-exact under concurrency. Nil is the off switch.
+	// Metrics, if non-nil, receives the degraded-mode accounting: each
+	// DegradedEpisodes/Reconnects/Heartbeats bump in AgentResult also
+	// bumps the shared obs gauge of the same name, and episode
+	// transitions emit degraded/reconnect spans. A fleet may share one
+	// bundle — the gauge Add is CAS-exact under concurrency. Nil is the
+	// off switch.
 	Metrics *Metrics
 }
 
@@ -112,7 +112,17 @@ func NewAgent(cfg AgentConfig, link v2i.Transport) (*Agent, error) {
 	if link == nil {
 		return nil, errors.New("sched: agent needs a transport")
 	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = &metricsOff
+	}
 	return &Agent{cfg: cfg, link: link}, nil
+}
+
+// tally bumps one AgentResult field and the matching olev_agent_*
+// gauge together (a nil gauge, metrics off, is a no-op).
+func tally(field *int, gauge *obs.Gauge) {
+	*field++
+	gauge.Add(1)
 }
 
 // Hello registers the agent with the smart grid. TCP deployments call
@@ -132,6 +142,7 @@ func (a *Agent) Hello(ctx context.Context) error {
 // is over or the context/link ends.
 func (a *Agent) Run(ctx context.Context) (AgentResult, error) {
 	var res AgentResult
+	m := a.cfg.Metrics
 	for {
 		rctx, cancel := ctx, context.CancelFunc(nil)
 		if a.cfg.Autonomy != nil && a.cfg.Autonomy.QuoteDeadline > 0 {
@@ -148,13 +159,10 @@ func (a *Agent) Run(ctx context.Context) (AgentResult, error) {
 				// keep listening — a recovered coordinator (or a
 				// standby's first quote) resumes the exact protocol.
 				first := !a.degraded
-				if first {
-					res.DegradedEpisodes++
-					a.degraded = true
-				}
+				a.degraded = true
 				res.LastFallbackKW = a.fallbackKW(time.Now())
-				if m := a.cfg.Metrics; m != nil && first {
-					m.DegradedEpisodes.Add(1)
+				if first {
+					tally(&res.DegradedEpisodes, m.DegradedEpisodes)
 					m.Sink.Emit(obs.EventDegraded, a.cfg.VehicleID, int32(res.Rounds), -1, res.LastFallbackKW)
 				}
 				continue
@@ -169,11 +177,8 @@ func (a *Agent) Run(ctx context.Context) (AgentResult, error) {
 		}
 		if a.degraded {
 			a.degraded = false
-			res.Reconnects++
-			if m := a.cfg.Metrics; m != nil {
-				m.Reconnects.Add(1)
-				m.Sink.Emit(obs.EventReconnect, a.cfg.VehicleID, int32(res.Rounds), -1, 0)
-			}
+			tally(&res.Reconnects, m.Reconnects)
+			m.Sink.Emit(obs.EventReconnect, a.cfg.VehicleID, int32(res.Rounds), -1, 0)
 		}
 		// Drop replays and reordered-late frames (a peer that does not
 		// stamp sequence numbers sends 0 and bypasses the filter).
@@ -204,10 +209,7 @@ func (a *Agent) Run(ctx context.Context) (AgentResult, error) {
 		case v2i.TypeConverged:
 			res.Converged = true
 		case v2i.TypeHeartbeat:
-			res.Heartbeats++ // liveness only; receiving it reset the silence clock
-			if m := a.cfg.Metrics; m != nil {
-				m.Heartbeats.Add(1)
-			}
+			tally(&res.Heartbeats, m.Heartbeats) // liveness only; receiving it reset the silence clock
 		case v2i.TypeBye:
 			return res, nil
 		default:

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"olevgrid/internal/core"
+	"olevgrid/internal/obs"
 	"olevgrid/internal/v2i"
 )
 
@@ -57,15 +58,18 @@ func sendBye(t *testing.T, ctx context.Context, grid v2i.Transport, seq uint64) 
 
 // A coordinator silent past the deadline puts the agent on the
 // proportional-fair fallback: ηP_line per live section split over the
-// quoted fleet.
+// quoted fleet. The episode is one degraded span, however many
+// deadline budgets the silence lasts.
 func TestAutonomyFallbackOnSilence(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	sink := obs.NewEventSink(16)
 	grid, done := autonomyRig(t, ctx, AgentConfig{
 		VehicleID:    "ev-0",
 		MaxPowerKW:   200,
 		Satisfaction: core.LogSatisfaction{Weight: 1},
 		Autonomy:     &AutonomyConfig{QuoteDeadline: 20 * time.Millisecond},
+		Metrics:      NewMetrics(nil, sink),
 	})
 
 	spec := nonlinearSpec() // OverloadCapacityKW = 0.9 * 53.55
@@ -86,6 +90,9 @@ func TestAutonomyFallbackOnSilence(t *testing.T) {
 	}
 	if res.Rounds != 1 {
 		t.Errorf("rounds = %d, want 1", res.Rounds)
+	}
+	if got := sink.CountKind(obs.EventDegraded); got != res.DegradedEpisodes {
+		t.Errorf("degraded spans %d, episodes %d", got, res.DegradedEpisodes)
 	}
 }
 
@@ -183,15 +190,17 @@ func TestAutonomyNoQuoteEverSeen(t *testing.T) {
 }
 
 // A frame arriving while degraded ends the episode: the agent counts a
-// reconnect and resumes the exact protocol.
+// reconnect, emits one reconnect span, and resumes the exact protocol.
 func TestAutonomyReconnectResumesProtocol(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	sink := obs.NewEventSink(16)
 	grid, done := autonomyRig(t, ctx, AgentConfig{
 		VehicleID:    "ev-0",
 		MaxPowerKW:   200,
 		Satisfaction: core.LogSatisfaction{Weight: 1},
 		Autonomy:     &AutonomyConfig{QuoteDeadline: 20 * time.Millisecond},
+		Metrics:      NewMetrics(nil, sink),
 	})
 	spec := nonlinearSpec()
 	sendQuote(t, ctx, grid, 1, v2i.Quote{
@@ -215,18 +224,24 @@ func TestAutonomyReconnectResumesProtocol(t *testing.T) {
 	if res.Rounds != 2 {
 		t.Errorf("rounds = %d, want 2: the protocol should resume after reconnect", res.Rounds)
 	}
+	if got := sink.CountKind(obs.EventReconnect); got != res.Reconnects {
+		t.Errorf("reconnect spans %d, reconnects %d", got, res.Reconnects)
+	}
 }
 
 // Heartbeats reset the silence clock: a slow round with a live
-// coordinator must not push agents into degraded mode.
+// coordinator must not push agents into degraded mode, nor emit a
+// degraded span.
 func TestHeartbeatsPreventDegradation(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	sink := obs.NewEventSink(16)
 	grid, done := autonomyRig(t, ctx, AgentConfig{
 		VehicleID:    "ev-0",
 		MaxPowerKW:   200,
 		Satisfaction: core.LogSatisfaction{Weight: 1},
 		Autonomy:     &AutonomyConfig{QuoteDeadline: 80 * time.Millisecond},
+		Metrics:      NewMetrics(nil, sink),
 	})
 	var seq uint64
 	for i := 0; i < 8; i++ { // ~160 ms of liveness beacons, no quotes
@@ -249,5 +264,8 @@ func TestHeartbeatsPreventDegradation(t *testing.T) {
 	}
 	if res.Heartbeats == 0 {
 		t.Error("no heartbeats counted")
+	}
+	if got := sink.CountKind(obs.EventDegraded); got != 0 {
+		t.Errorf("%d degraded spans under a heartbeating coordinator", got)
 	}
 }

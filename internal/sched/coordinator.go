@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"olevgrid/internal/core"
+	"olevgrid/internal/obs"
 	"olevgrid/internal/stats"
 	"olevgrid/internal/v2i"
 )
@@ -92,11 +93,6 @@ type CoordinatorConfig struct {
 	// between re-quote attempts; the n-th retry waits roughly
 	// RetryBackoff·2^(n-1) with jitter. Zero means 10 ms.
 	RetryBackoff time.Duration
-	// ExchangeDeadline bounds one vehicle's whole turn, attempts and
-	// backoff together, so a single black-holed link cannot stall a
-	// round indefinitely. Zero derives it from RoundTimeout,
-	// MaxRetries, and RetryBackoff.
-	ExchangeDeadline time.Duration
 	// SkipUnresponsive keeps the round going when a vehicle exhausts
 	// its retries, leaving its previous schedule in place, instead of
 	// failing the run. The asynchronous dynamics tolerate missed
@@ -181,7 +177,45 @@ type CoordinatorConfig struct {
 	Metrics *Metrics
 }
 
-// Report summarizes a coordinator run.
+// Counts is the coordinator's control-plane tally for one run. Each
+// field is bumped exactly once, at the site where its event happens,
+// by the same call that bumps the matching olev_sched_* counter — the
+// report and the metrics cannot disagree.
+type Counts struct {
+	// Retries counts re-quoted exchanges over the whole run.
+	Retries int
+	// StaleDropped counts frames the coordinator discarded instead of
+	// acting on: replayed/duplicated frames (non-monotonic sequence
+	// numbers) and best-responses to outdated quotes (epoch mismatch).
+	StaleDropped int
+	// Skipped counts vehicle turns abandoned after retry exhaustion.
+	Skipped int
+	// Departed counts vehicles dropped after their transport closed or
+	// they sent Bye (only non-zero with DropDeparted).
+	Departed int
+	// Evicted counts vehicles removed by the circuit breaker after
+	// EvictAfter consecutive failed turns.
+	Evicted int
+	// Joined counts vehicles admitted mid-iteration via Join.
+	Joined int
+	// DegradedRounds counts rounds the batching fallback forced to run
+	// sequentially after a batched round made no progress (only
+	// non-zero with Parallelism > 1).
+	DegradedRounds int
+	// FeedChanges counts rounds where the price feed moved β;
+	// FeedHeld counts rounds where the feed was unusable and the last
+	// applied β was held.
+	FeedChanges int
+	FeedHeld    int
+	// OutagesApplied and RestoresApplied count section events fired.
+	OutagesApplied  int
+	RestoresApplied int
+}
+
+// Report summarizes a coordinator run. Once iteration starts, Run
+// builds it on every return path, so an early error (lease lost, a
+// failed turn, cancellation) still reports the counts and the epoch
+// reached.
 type Report struct {
 	// Rounds is the number of full update rounds executed.
 	Rounds int
@@ -196,22 +230,7 @@ type Report struct {
 	TotalPowerKW float64
 	// Requests is each vehicle's final total, keyed by ID.
 	Requests map[string]float64
-	// Skipped counts vehicle turns abandoned after retry exhaustion.
-	Skipped int
-	// Departed counts vehicles dropped after their transport closed or
-	// they sent Bye (only non-zero with DropDeparted).
-	Departed int
-	// Evicted counts vehicles removed by the circuit breaker after
-	// EvictAfter consecutive failed turns.
-	Evicted int
-	// Joined counts vehicles admitted mid-iteration via Join.
-	Joined int
-	// Retries counts re-quoted exchanges over the whole run.
-	Retries int
-	// StaleDropped counts frames the coordinator discarded instead of
-	// acting on: replayed/duplicated frames (non-monotonic sequence
-	// numbers) and best-responses to outdated quotes (epoch mismatch).
-	StaleDropped int
+	Counts
 	// FellBack reports that the run exhausted MaxRounds and the
 	// schedule was restored from the journaled last-known-good
 	// checkpoint.
@@ -219,23 +238,11 @@ type Report struct {
 	// CheckpointSaved reports that the converged schedule was
 	// journaled.
 	CheckpointSaved bool
-	// DegradedRounds counts rounds the batching fallback forced to run
-	// sequentially after a batched round made no progress (only
-	// non-zero with Parallelism > 1).
-	DegradedRounds int
 	// FinalEpoch is the schedule version at the end of the run.
 	FinalEpoch uint64
 	// Schedule is each vehicle's final per-section allocation — what
 	// the failover differential suite compares across incarnations.
 	Schedule map[string][]float64
-	// FeedChanges counts rounds where the price feed moved β;
-	// FeedHeld counts rounds where the feed was unusable and the last
-	// applied β was held.
-	FeedChanges int
-	FeedHeld    int
-	// OutagesApplied and RestoresApplied count section events fired.
-	OutagesApplied  int
-	RestoresApplied int
 	// LiveSections is the number of energized sections at the end.
 	LiveSections int
 }
@@ -293,18 +300,17 @@ type Coordinator struct {
 	// from Run's goroutine while batch collection goroutines read it.
 	sentRow map[string][]float64
 
-	joins    chan pendingJoin
-	rng      *rand.Rand
-	seq      uint64
-	retries  int
-	stale    int
-	restored bool
-
-	feedChanges     int
-	feedHeld        int
-	outagesApplied  int
-	restoresApplied int
-	lastRound       int
+	joins     chan pendingJoin
+	rng       *rand.Rand
+	seq       uint64
+	restored  bool
+	lastRound int
+	// counts is the run's tally, bumped only through count.
+	counts Counts
+	// exchangeDeadline bounds one vehicle's whole turn, attempts and
+	// backoff together, so a single black-holed link cannot stall a
+	// round indefinitely.
+	exchangeDeadline time.Duration
 
 	closeOnce sync.Once
 	// closed flips when Close runs; a closed coordinator refuses to
@@ -318,7 +324,7 @@ type Coordinator struct {
 	deposed atomic.Bool
 
 	// mu guards the session state shared with concurrent batch
-	// collection goroutines: seq, lastSeq, stale, retries, and rng.
+	// collection goroutines: seq, lastSeq, counts, sentRow, and rng.
 	// The schedule and epoch are only ever touched from Run's
 	// goroutine, between batches.
 	mu sync.Mutex
@@ -358,9 +364,8 @@ func NewCoordinator(cfg CoordinatorConfig, links map[string]v2i.Transport) (*Coo
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 10 * time.Millisecond
 	}
-	if cfg.ExchangeDeadline <= 0 {
-		attempts := time.Duration(cfg.MaxRetries + 1)
-		cfg.ExchangeDeadline = attempts*cfg.RoundTimeout + attempts*maxBackoffStep*cfg.RetryBackoff
+	if cfg.Metrics == nil {
+		cfg.Metrics = &metricsOff
 	}
 	for _, o := range cfg.Outages {
 		if o.Section < 0 || o.Section >= cfg.NumSections {
@@ -386,6 +391,8 @@ func NewCoordinator(cfg CoordinatorConfig, links map[string]v2i.Transport) (*Coo
 		rng:         stats.NewRand(cfg.Seed),
 		live:        make([]bool, cfg.NumSections),
 	}
+	attempts := time.Duration(cfg.MaxRetries + 1)
+	c.exchangeDeadline = attempts*cfg.RoundTimeout + attempts*maxBackoffStep*cfg.RetryBackoff
 	for i := range c.live {
 		c.live[i] = true
 	}
@@ -467,7 +474,11 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 	}
 	sort.Strings(ids)
 
-	report := Report{Requests: make(map[string]float64, len(ids))}
+	c.mu.Lock()
+	c.counts = Counts{}
+	c.mu.Unlock()
+	m := c.cfg.Metrics
+	rounds, converged := 0, false
 	prevDelta := math.Inf(1)
 	sequentialNext := false
 	for round := 1; round <= c.cfg.MaxRounds; round++ {
@@ -475,7 +486,7 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 			c.cfg.OnRound(round)
 		}
 		if err := c.renewLease(); err != nil {
-			return report, err
+			return c.report(rounds, false), err
 		}
 		// Exogenous events fire at the top of the round, before any
 		// quote goes out, so the whole round prices one consistent
@@ -485,7 +496,7 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 			perturbed = true
 		}
 		c.heartbeat(ctx, round)
-		ids = append(ids, c.admitJoins(&report)...)
+		ids = append(ids, c.admitJoins()...)
 		c.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 		var maxDelta float64
 		roundSkipped := 0
@@ -506,10 +517,7 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 				if c.removeVehicle(id) > 0 {
 					maxDelta = math.Max(maxDelta, c.cfg.Tolerance*2)
 				}
-				report.Departed++
-				if m := c.cfg.Metrics; m != nil {
-					m.Departed.Inc()
-				}
+				c.count(&c.counts.Departed, m.Departed)
 			case c.breakerTrips(id) && ctx.Err() == nil:
 				// Circuit breaker: the vehicle has failed EvictAfter
 				// consecutive turns; treat it as gone so its stranded
@@ -519,17 +527,11 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 				if c.removeVehicle(id) > 0 {
 					maxDelta = math.Max(maxDelta, c.cfg.Tolerance*2)
 				}
-				report.Evicted++
-				if m := c.cfg.Metrics; m != nil {
-					m.Evicted.Inc()
-				}
+				c.count(&c.counts.Evicted, m.Evicted)
 			case (c.cfg.SkipUnresponsive || c.cfg.EvictAfter > 0) && ctx.Err() == nil:
 				c.consecFails[id]++
-				report.Skipped++
 				roundSkipped++
-				if m := c.cfg.Metrics; m != nil {
-					m.Skipped.Inc()
-				}
+				c.count(&c.counts.Skipped, m.Skipped)
 			default:
 				return fmt.Errorf("sched: round %d vehicle %s: %w", round, id, err)
 			}
@@ -542,20 +544,17 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 		}
 		if sequentialNext && batch > 1 {
 			batch = 1
-			report.DegradedRounds++
-			if m := c.cfg.Metrics; m != nil {
-				m.Degraded.Inc()
-			}
+			c.count(&c.counts.DegradedRounds, m.Degraded)
 		}
 		if batch > 1 {
 			if err := c.runBatchedRound(ctx, ids, round, batch, handleTurn); err != nil {
-				return report, err
+				return c.report(rounds, false), err
 			}
 		} else {
 			for _, id := range ids {
 				delta, err := c.updateWithRetries(ctx, id, round)
 				if herr := handleTurn(id, delta, err); herr != nil {
-					return report, herr
+					return c.report(rounds, false), herr
 				}
 			}
 		}
@@ -577,11 +576,11 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 			}
 			ids = kept
 		}
-		report.Rounds = round
+		rounds = round
 		c.lastRound = round
-		c.cfg.Metrics.observeRound(round, c.epoch, maxDelta, c.liveCount())
+		m.observeRound(round, c.epoch, maxDelta, c.liveCount())
 		if len(ids) == 0 {
-			report.Converged = true
+			converged = true
 			break
 		}
 		// A skipped vehicle's best response is unknown, so a round with
@@ -593,42 +592,63 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 		// pending — the game they would perturb has not happened yet.
 		if maxDelta < c.cfg.Tolerance && roundSkipped == 0 && len(c.joins) == 0 &&
 			!perturbed && !c.eventsPending(round) {
-			report.Converged = true
+			converged = true
 			break
 		}
 		if c.cfg.CheckpointEvery > 0 && round%c.cfg.CheckpointEvery == 0 {
 			c.saveCheckpoint(round)
 		}
 		if err := ctx.Err(); err != nil {
-			return report, err
+			return c.report(rounds, false), err
 		}
 	}
 
-	if report.Converged {
-		report.CheckpointSaved = c.saveCheckpoint(report.Rounds)
-	} else if c.fallBackToLastGood() {
-		report.FellBack = true
+	saved, fellBack := false, false
+	if converged {
+		saved = c.saveCheckpoint(rounds)
+	} else {
+		fellBack = c.fallBackToLastGood()
 	}
-	report.Retries = c.retries
-	report.StaleDropped = c.stale
-	report.FinalEpoch = c.epoch
-	report.CongestionDegree = c.CongestionDegree()
-	report.TotalPowerKW = c.totalPower()
-	report.WelfareCost = c.welfareCost()
-	report.FeedChanges = c.feedChanges
-	report.FeedHeld = c.feedHeld
-	report.OutagesApplied = c.outagesApplied
-	report.RestoresApplied = c.restoresApplied
-	report.LiveSections = c.liveCount()
-	report.Schedule = make(map[string][]float64, len(c.schedule))
-	for id, row := range c.schedule {
-		report.Requests[id] = sum(row)
-		r := make([]float64, len(row))
-		copy(r, row)
-		report.Schedule[id] = r
-	}
+	report := c.report(rounds, converged)
+	report.CheckpointSaved, report.FellBack = saved, fellBack
 	c.broadcastDone(ctx, report)
 	return report, nil
+}
+
+// report snapshots the run so far. Every return path of Run builds its
+// Report here, so the tally and FinalEpoch survive an early error.
+func (c *Coordinator) report(rounds int, converged bool) Report {
+	c.mu.Lock()
+	counts := c.counts
+	c.mu.Unlock()
+	r := Report{
+		Rounds:           rounds,
+		Converged:        converged,
+		CongestionDegree: c.CongestionDegree(),
+		WelfareCost:      c.welfareCost(),
+		TotalPowerKW:     c.totalPower(),
+		Requests:         make(map[string]float64, len(c.schedule)),
+		Counts:           counts,
+		FinalEpoch:       c.epoch,
+		Schedule:         make(map[string][]float64, len(c.schedule)),
+		LiveSections:     c.liveCount(),
+	}
+	for id, row := range c.schedule {
+		r.Requests[id] = sum(row)
+		r.Schedule[id] = append([]float64(nil), row...)
+	}
+	return r
+}
+
+// count records one control-plane event: it bumps the run's tally
+// field and the matching olev_sched_* counter together (a nil counter,
+// metrics off, is a no-op). Safe from the batched collection
+// goroutines, which count retries and stale frames.
+func (c *Coordinator) count(field *int, counter *obs.Counter) {
+	c.mu.Lock()
+	*field++
+	c.mu.Unlock()
+	counter.Inc()
 }
 
 // renewLease extends this incarnation's lease for the round; a refused
@@ -666,10 +686,7 @@ func (c *Coordinator) applyFeed(round int) bool {
 	}
 	beta, ok := c.cfg.Feed.Sample(round)
 	if !ok {
-		c.feedHeld++
-		if m := c.cfg.Metrics; m != nil {
-			m.FeedHeld.Inc()
-		}
+		c.count(&c.counts.FeedHeld, c.cfg.Metrics.FeedHeld)
 		return false
 	}
 	if beta == c.cfg.Cost.BetaPerKWh {
@@ -681,38 +698,33 @@ func (c *Coordinator) applyFeed(round int) bool {
 	if err != nil {
 		// An unusable sample (e.g. non-positive β) degrades to holding
 		// the last applied price, same as a stale feed.
-		c.feedHeld++
-		if m := c.cfg.Metrics; m != nil {
-			m.FeedHeld.Inc()
-		}
+		c.count(&c.counts.FeedHeld, c.cfg.Metrics.FeedHeld)
 		return false
 	}
 	c.cfg.Cost = spec
 	c.cost = cost
 	c.epoch++ // every outstanding quote priced a β that no longer exists
-	c.feedChanges++
-	if m := c.cfg.Metrics; m != nil {
-		m.FeedChanges.Inc()
-	}
+	c.count(&c.counts.FeedChanges, c.cfg.Metrics.FeedChanges)
 	return true
 }
 
 // applyOutages fires the section events scheduled for this round.
 // Returns whether any fired.
 func (c *Coordinator) applyOutages(round int) bool {
+	m := c.cfg.Metrics
 	fired := false
 	for _, o := range c.cfg.Outages {
 		if o.DownRound == round && c.live[o.Section] {
 			c.killSection(o.Section)
-			c.outagesApplied++
-			c.cfg.Metrics.observeOutage(o.Section, round, c.epoch, false)
+			c.count(&c.counts.OutagesApplied, m.Outages)
+			m.Sink.Emit(obs.EventOutage, "coordinator", int32(round), int32(c.epoch), float64(o.Section))
 			fired = true
 		}
 		if o.UpRound == round && !c.live[o.Section] {
 			c.live[o.Section] = true
 			c.epoch++
-			c.restoresApplied++
-			c.cfg.Metrics.observeOutage(o.Section, round, c.epoch, true)
+			c.count(&c.counts.RestoresApplied, m.Restores)
+			m.Sink.Emit(obs.EventRestore, "coordinator", int32(round), int32(c.epoch), float64(o.Section))
 			fired = true
 		}
 	}
@@ -880,16 +892,16 @@ const maxBackoffStep = 5
 
 // updateWithRetries drives updateOne, re-quoting after timeouts with
 // exponential backoff and jitter, bounded by both MaxRetries and the
-// per-vehicle ExchangeDeadline. A lost quote, request or schedule
+// per-vehicle exchange deadline. A lost quote, request or schedule
 // frame all look the same from here — a timed-out exchange — and a
 // fresh quote resynchronizes both sides, because agents answer every
 // quote independently and stale answers are filtered by epoch.
 func (c *Coordinator) updateWithRetries(ctx context.Context, id string, round int) (float64, error) {
-	deadline := time.Now().Add(c.cfg.ExchangeDeadline)
+	deadline := time.Now().Add(c.exchangeDeadline)
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
-			c.countRetry()
+			c.count(&c.counts.Retries, c.cfg.Metrics.Retries)
 			if err := c.backoff(ctx, attempt); err != nil {
 				break
 			}
@@ -913,11 +925,11 @@ func (c *Coordinator) updateWithRetries(ctx context.Context, id string, round in
 // exchange, used by the batched rounds; the install half runs later on
 // Run's goroutine. Retry structure mirrors updateWithRetries.
 func (c *Coordinator) collectWithRetries(ctx context.Context, id string, round int, others, totals []float64, epoch uint64) (v2i.Request, error) {
-	deadline := time.Now().Add(c.cfg.ExchangeDeadline)
+	deadline := time.Now().Add(c.exchangeDeadline)
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
-			c.countRetry()
+			c.count(&c.counts.Retries, c.cfg.Metrics.Retries)
 			if err := c.backoff(ctx, attempt); err != nil {
 				break
 			}
@@ -935,15 +947,6 @@ func (c *Coordinator) collectWithRetries(ctx context.Context, id string, round i
 		}
 	}
 	return v2i.Request{}, lastErr
-}
-
-func (c *Coordinator) countRetry() {
-	c.mu.Lock()
-	c.retries++
-	c.mu.Unlock()
-	if m := c.cfg.Metrics; m != nil {
-		m.Retries.Inc()
-	}
 }
 
 // runBatchedRound visits the fleet in blocks of batch vehicles: each
@@ -1138,25 +1141,20 @@ func (c *Coordinator) rowInSync(id string, row []float64) bool {
 // frame is fresh; replays are counted as stale.
 func (c *Coordinator) acceptSeq(id string, seq uint64) bool {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if seq <= c.lastSeq[id] {
-		c.stale++
-		if m := c.cfg.Metrics; m != nil {
-			m.Stale.Inc()
-		}
-		return false
+	fresh := seq > c.lastSeq[id]
+	if fresh {
+		c.lastSeq[id] = seq
 	}
-	c.lastSeq[id] = seq
-	return true
+	c.mu.Unlock()
+	if !fresh {
+		c.countStale()
+	}
+	return fresh
 }
 
+// countStale records one discarded frame.
 func (c *Coordinator) countStale() {
-	c.mu.Lock()
-	c.stale++
-	c.mu.Unlock()
-	if m := c.cfg.Metrics; m != nil {
-		m.Stale.Inc()
-	}
+	c.count(&c.counts.StaleDropped, c.cfg.Metrics.Stale)
 }
 
 // nextSeq returns the next globally monotonic envelope sequence number.
@@ -1239,8 +1237,8 @@ func (c *Coordinator) saveCheckpoint(round int) bool {
 		cp.Schedule[id] = r
 	}
 	saved := c.cfg.Journal.Save(cp) == nil
-	if m := c.cfg.Metrics; m != nil && saved {
-		m.Checkpoints.Inc()
+	if saved {
+		c.cfg.Metrics.Checkpoints.Inc()
 	}
 	return saved
 }

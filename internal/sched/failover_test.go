@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"olevgrid/internal/core"
+	"olevgrid/internal/obs"
 	"olevgrid/internal/v2i"
 )
 
@@ -98,6 +100,67 @@ func TestTakeoverFencing(t *testing.T) {
 	// The new holder is on record; the dead primary's renewal bounces.
 	if ok, _ := lease.Renew("primary", 41, time.Second, t0.Add(6*time.Second)); ok {
 		t.Error("partitioned primary re-acquired over the standby")
+	}
+}
+
+// refusingLease grants renewals until the refuseAt-th, then refuses
+// every one: a rival incarnation won the election at that round.
+type refusingLease struct {
+	MemLease
+	renewals, refuseAt int
+}
+
+func (l *refusingLease) Renew(string, uint64, time.Duration, time.Time) (bool, error) {
+	l.renewals++
+	return l.renewals < l.refuseAt, nil
+}
+
+// risingFeed moves β every round.
+type risingFeed struct{ base float64 }
+
+func (f risingFeed) Sample(step int) (float64, bool) {
+	return f.base * (1 + 0.01*float64(step)), true
+}
+
+// A primary deposed at round k must still report what it counted
+// before the lease was lost: the early return carries the k−1 β moves
+// (the same delta the shared counter saw) and the epoch reached.
+func TestLeaseLossReportKeepsCounts(t *testing.T) {
+	const n, k = 4, 5
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	links, _ := failoverFleet(t, ctx, n, &wg)
+	m := NewMetrics(obs.NewRegistry(), nil)
+	spec := nonlinearSpec()
+	coord, err := NewCoordinator(CoordinatorConfig{
+		NumSections:    n,
+		LineCapacityKW: 53.55,
+		Cost:           spec,
+		Lease:          &refusingLease{refuseAt: k},
+		Feed:           risingFeed{base: spec.BetaPerKWh},
+		Metrics:        m,
+		Seed:           3,
+	}, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := coord.Run(ctx)
+	for _, l := range links {
+		_ = l.Close()
+	}
+	wg.Wait()
+	if !errors.Is(err, ErrLeaseLost) {
+		t.Fatalf("run error %v, want ErrLeaseLost", err)
+	}
+	if report.FeedChanges != k-1 {
+		t.Errorf("report FeedChanges = %d, want %d", report.FeedChanges, k-1)
+	}
+	if got := int(m.FeedChanges.Value()); got != report.FeedChanges {
+		t.Errorf("olev_sched_feed_changes_total moved %d, report says %d", got, report.FeedChanges)
+	}
+	if report.FinalEpoch == 0 {
+		t.Error("report FinalEpoch is zero after an early return")
 	}
 }
 

@@ -53,7 +53,7 @@ func (c *Coordinator) Join(id string, link v2i.Transport) error {
 // zero: the fleet's background load barely moves on re-entry, so the
 // re-convergence is a short trip instead of a cold one. Theorem IV.1
 // makes the seed safe — any feasible start reaches the same optimum.
-func (c *Coordinator) admitJoins(report *Report) []string {
+func (c *Coordinator) admitJoins() []string {
 	var added []string
 	var cp Checkpoint
 	cpLoaded, cpOK := false, false
@@ -81,10 +81,7 @@ func (c *Coordinator) admitJoins(report *Report) []string {
 			c.lastSeq[j.id] = 0
 			c.consecFails[j.id] = 0
 			c.epoch++ // quotes must reflect the newcomer's load
-			report.Joined++
-			if m := c.cfg.Metrics; m != nil {
-				m.Joined.Inc()
-			}
+			c.count(&c.counts.Joined, c.cfg.Metrics.Joined)
 			added = append(added, j.id)
 		default:
 			return added

@@ -14,7 +14,9 @@ import (
 // hook is nil-receiver safe, and the armed path is atomic writes
 // only, safe from the batched rounds' collection goroutines.
 type Metrics struct {
-	// Coordinator-side counters, mirroring Report one-for-one.
+	// Coordinator-side counters. Retries through Restores have a
+	// Counts field each, bumped by the same call; Rounds, Quotes,
+	// Proposals, Checkpoints and Failovers exist only here.
 	Rounds      *obs.Counter
 	Quotes      *obs.Counter // quote frames sent (includes re-quotes)
 	Proposals   *obs.Counter // requests water-filled and installed
@@ -39,16 +41,20 @@ type Metrics struct {
 	LiveSections *obs.Gauge
 	Delta        *obs.Histogram // per-round movement bound (kW)
 
-	// Agent-side gauges, mirroring AgentResult's legacy counters (the
-	// autonomy conformance test proves them equal). Gauges rather than
-	// counters because several agents may share a bundle and the CAS
-	// Add keeps concurrent bumps exact.
+	// Agent-side gauges, bumped by the same call as the AgentResult
+	// field of the same name. Gauges rather than counters because
+	// several agents may share a bundle and the CAS Add keeps
+	// concurrent bumps exact.
 	DegradedEpisodes *obs.Gauge
 	Reconnects       *obs.Gauge
 	Heartbeats       *obs.Gauge
 
 	Sink *obs.EventSink
 }
+
+// metricsOff stands in for a nil bundle inside coordinators and
+// agents: every instrument is nil, so every bump is a no-op.
+var metricsOff Metrics
 
 // NewMetrics registers the control-plane metric catalog on r (see
 // DESIGN.md §11); r and sink may each be nil.
@@ -126,19 +132,4 @@ func (m *Metrics) observeFailover(instance string, epoch uint64) {
 	m.Failovers.Inc()
 	m.Epoch.Set(float64(epoch))
 	m.Sink.Emit(obs.EventFailover, instance, -1, int32(epoch), float64(epoch))
-}
-
-// observeOutage records a section death or restoration.
-func (m *Metrics) observeOutage(section, round int, epoch uint64, restored bool) {
-	if m == nil {
-		return
-	}
-	kind := obs.EventOutage
-	if restored {
-		m.Restores.Inc()
-		kind = obs.EventRestore
-	} else {
-		m.Outages.Inc()
-	}
-	m.Sink.Emit(kind, "coordinator", int32(round), int32(epoch), float64(section))
 }

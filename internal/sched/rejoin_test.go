@@ -45,10 +45,9 @@ func TestAdmitJoinsSeedsRejoinFromJournal(t *testing.T) {
 	if err := coord.Join("ev-new", newSide); err != nil {
 		t.Fatal(err)
 	}
-	var report Report
-	added := coord.admitJoins(&report)
-	if len(added) != 2 || report.Joined != 2 {
-		t.Fatalf("admitted %v (joined=%d), want both pending vehicles", added, report.Joined)
+	added := coord.admitJoins()
+	if len(added) != 2 || coord.counts.Joined != 2 {
+		t.Fatalf("admitted %v (joined=%d), want both pending vehicles", added, coord.counts.Joined)
 	}
 
 	want := []float64{1, 2, 3, 4}
@@ -81,8 +80,7 @@ func TestAdmitJoinsSeedsRejoinFromJournal(t *testing.T) {
 	if err := coord2.Join("ev-rejoin", mismatchSide); err != nil {
 		t.Fatal(err)
 	}
-	var r2 Report
-	coord2.admitJoins(&r2)
+	coord2.admitJoins()
 	for i, v := range coord2.schedule["ev-rejoin"] {
 		if v != 0 {
 			t.Errorf("mismatched checkpoint leaked into section %d: %v", i, v)

@@ -40,13 +40,11 @@ import (
 	"olevgrid/internal/deploy"
 	"olevgrid/internal/experiments"
 	"olevgrid/internal/grid"
-	"olevgrid/internal/meanfield"
 	"olevgrid/internal/obs"
 	"olevgrid/internal/pricing"
 	"olevgrid/internal/scenario"
 	"olevgrid/internal/sched"
 	"olevgrid/internal/store"
-	"olevgrid/internal/sweep"
 	"olevgrid/internal/traffic"
 	"olevgrid/internal/units"
 	"olevgrid/internal/v2i"
@@ -58,7 +56,7 @@ type (
 	Power = units.Power
 	// Energy is kilowatt-hours.
 	Energy = units.Energy
-	// Speed is meters per second; construct with MPH/MPS/KMH.
+	// Speed is meters per second; construct with MPH/KMH.
 	Speed = units.Speed
 	// Distance is meters.
 	Distance = units.Distance
@@ -67,14 +65,9 @@ type (
 // Unit constructors, re-exported for facade-only callers.
 var (
 	KW     = units.KW
-	MW     = units.MW
-	KWh    = units.KWh
-	MWh    = units.MWh
 	MPH    = units.MPH
-	MPS    = units.MPS
 	KMH    = units.KMH
 	Meters = units.Meters
-	Miles  = units.Miles
 )
 
 // Game-layer types (Section IV).
@@ -102,26 +95,11 @@ type (
 	Schedule = core.Schedule
 	// CostFunction is a section's convex charging cost Z(·).
 	CostFunction = core.CostFunction
-	// Solver is a persistent round engine for incremental re-solves:
-	// it carries caches and the standing schedule across SetCost,
-	// SetPlayer and SetSchedule, so a sequence of related games (an
-	// LBMP step, a fleet churn, a warm seed) pays only for what changed.
-	Solver = core.Solver
 )
 
 var (
 	// NewGame constructs the strategic game of Section IV.
 	NewGame = core.NewGame
-	// NewSolver wraps a game in a persistent engine for incremental
-	// re-solves.
-	NewSolver = core.NewSolver
-	// ProjectSchedule maps a converged schedule onto a changed game:
-	// rows travel by player ID, departed vehicles are dropped, joiners
-	// start at zero, section-count changes spread each row evenly, and
-	// every row is clamped to its player's feasible set. The result is
-	// a feasible warm start that can only change round counts, never
-	// the potential game's destination.
-	ProjectSchedule = core.ProjectSchedule
 )
 
 // Policy layer (Section V's two pricing policies).
@@ -136,55 +114,6 @@ type (
 	LinearPolicy = pricing.Linear
 	// FleetConfig draws an OLEV fleet.
 	FleetConfig = pricing.FleetConfig
-)
-
-// Scenario.Solver values: the exact per-player engine (the default)
-// and the aggregated mean-field tier.
-const (
-	SolverExact     = pricing.SolverExact
-	SolverMeanField = pricing.SolverMeanField
-)
-
-// Mean-field aggregated solver tier: a K-population macro game stands
-// in for an N-player fleet, solved on the unchanged exact engine and
-// disaggregated back to feasible per-player schedules. The approximate
-// engine for fleets the exact tier cannot afford (differentially
-// gated against it; see internal/meanfield).
-type (
-	// MeanFieldConfig configures one aggregated solve.
-	MeanFieldConfig = meanfield.Config
-	// MeanFieldResult reports one aggregated solve; all aggregate
-	// figures are evaluated on the disaggregated schedule.
-	MeanFieldResult = meanfield.Result
-	// MeanFieldCluster is one representative population.
-	MeanFieldCluster = meanfield.Cluster
-	// MeanFieldRegion is one shard of a sharded metro solve.
-	MeanFieldRegion = meanfield.Region
-	// MeanFieldShardedConfig couples regional solves through a shared
-	// feeder capacity.
-	MeanFieldShardedConfig = meanfield.ShardedConfig
-	// MeanFieldShardedResult is the settled metro outcome.
-	MeanFieldShardedResult = meanfield.ShardedResult
-	// MeanFieldMetrics instruments the tier (olev_mf_* catalog).
-	MeanFieldMetrics = meanfield.Metrics
-)
-
-// DefaultMeanFieldClusters is the tier's default population budget K.
-const DefaultMeanFieldClusters = meanfield.DefaultClusters
-
-var (
-	// MeanFieldSolve runs the aggregated tier: cluster, solve the
-	// macro game, disaggregate.
-	MeanFieldSolve = meanfield.Solve
-	// MeanFieldSolveSharded solves regions independently and settles
-	// them against a shared feeder capacity.
-	MeanFieldSolveSharded = meanfield.SolveSharded
-	// ClusterPlayers partitions a fleet into representative
-	// populations (exposed for callers that want the clustering
-	// without the solve).
-	ClusterPlayers = meanfield.ClusterPlayers
-	// NewMeanFieldMetrics registers the olev_mf_* catalog.
-	NewMeanFieldMetrics = meanfield.NewMetrics
 )
 
 // BuildFleet draws a fleet of OLEVs and the corresponding game
@@ -205,8 +134,6 @@ type (
 	Coordinator = sched.Coordinator
 	// CoordinatorConfig configures a Coordinator.
 	CoordinatorConfig = sched.CoordinatorConfig
-	// Agent is one OLEV's protocol driver.
-	Agent = sched.Agent
 	// AgentConfig configures an Agent.
 	AgentConfig = sched.AgentConfig
 	// AgentResult summarizes an agent session.
@@ -251,8 +178,6 @@ const (
 var (
 	// NewCoordinator builds the smart-grid side over established links.
 	NewCoordinator = sched.NewCoordinator
-	// NewAgent builds an OLEV agent over an established link.
-	NewAgent = sched.NewAgent
 	// RunAgentTCP is the full TCP client lifecycle: dial, hello, run.
 	RunAgentTCP = sched.RunTCP
 	// RunAgentTCPWire is RunAgentTCP offering a wire codec at dial
@@ -276,8 +201,6 @@ var (
 	NewTransportPair = v2i.NewPair
 	// ListenV2I opens a TCP listener for vehicle connections.
 	ListenV2I = v2i.Listen
-	// ServeJoins accepts mid-iteration vehicle joins on a listener.
-	ServeJoins = sched.ServeJoins
 	// NewMemJournal keeps checkpoints in process memory.
 	NewMemJournal = sched.NewMemJournal
 	// NewStoreJournal adapts a durable segment store to the Journal
@@ -339,11 +262,6 @@ var (
 	// warm-started from the checkpoint and fenced above the dead
 	// primary's counters.
 	ResumeCoordinator = sched.ResumeCoordinator
-	// ErrLeaseLost is returned by a coordinator whose lease renewal
-	// was refused mid-run.
-	ErrLeaseLost = sched.ErrLeaseLost
-	// DecodeCheckpoint validates an untrusted checkpoint blob.
-	DecodeCheckpoint = sched.DecodeCheckpoint
 	// NewLBMPFeed wraps a β source in a seeded fault plan.
 	NewLBMPFeed = grid.NewLBMPFeed
 	// DefaultTransportTimeouts are the TCP deadline defaults.
@@ -354,7 +272,7 @@ var (
 
 // Observability (DESIGN.md §11): a dependency-free metrics registry
 // plus an event sink, with per-layer bundles threaded through the
-// solver, control plane, feed, coupling and transport. Every bundle
+// solver, control plane, coupling and transport. Every bundle
 // treats nil as a zero-overhead off switch, and arming one never
 // changes results — the conformance suites pin both properties.
 type (
@@ -375,8 +293,6 @@ type (
 	// CoupledDayMetrics instruments the coupled day's hour loop
 	// (CoupledDayConfig.Metrics).
 	CoupledDayMetrics = coupling.DayMetrics
-	// FeedMetrics instruments an LBMPFeed (LBMPFeed.Instrument).
-	FeedMetrics = grid.FeedMetrics
 	// TransportMetrics counts V2I frames per direction and type.
 	TransportMetrics = v2i.TransportMetrics
 )
@@ -393,8 +309,6 @@ var (
 	NewControlPlaneMetrics = sched.NewMetrics
 	// NewCoupledDayMetrics registers the olev_day_* catalog.
 	NewCoupledDayMetrics = coupling.NewDayMetrics
-	// NewFeedMetrics registers the olev_feed_* catalog.
-	NewFeedMetrics = grid.NewFeedMetrics
 	// NewTransportMetrics registers the olev_v2i_* catalog.
 	NewTransportMetrics = v2i.NewTransportMetrics
 	// NewInstrumentedTransport wraps a Transport with frame counting.
@@ -432,42 +346,16 @@ type (
 	GameDefaults = experiments.GameDefaults
 	// ExperimentTable is a rendered experiment result.
 	ExperimentTable = experiments.Table
-	// RegionalMeanFieldConfig drives the metropolitan sharding study.
-	RegionalMeanFieldConfig = experiments.RegionalConfig
-	// RegionalMeanFieldResult is the settled metropolitan outcome.
-	RegionalMeanFieldResult = experiments.RegionalResult
 )
 
 var (
 	// RunMotivationStudy reproduces Fig. 3.
 	RunMotivationStudy = experiments.Fig3
-	// PaymentVsCongestion reproduces Fig. 5(a)/6(a).
-	PaymentVsCongestion = experiments.PaymentVsCongestion
-	// WelfareVsSections reproduces Fig. 5(b)/6(b).
-	WelfareVsSections = experiments.WelfareVsSections
-	// LoadBalance reproduces Fig. 5(c)/6(c).
-	LoadBalance = experiments.LoadBalance
-	// Convergence reproduces Fig. 5(d)/6(d).
-	Convergence = experiments.Convergence
-	// FactorSweep quantifies the Section III deployment factors.
-	FactorSweep = experiments.FactorSweep
-	// MultiIntersection runs the city-scale extrapolation corridor.
-	MultiIntersection = experiments.MultiIntersection
-	// MultiIntersectionSweep fans the corridor study over a list of
-	// intersection counts on the sweep engine.
-	MultiIntersectionSweep = experiments.MultiIntersectionSweep
-	// RegionalMeanField runs the metropolitan sharding study: one
-	// mean-field region per corridor, settled against a shared feeder.
-	RegionalMeanField = experiments.RegionalMeanField
 	// PolicyComparison contrasts the three pricing objectives.
 	PolicyComparison = experiments.PolicyComparison
 	// SaveExperimentCSVs writes rendered tables for external plotting.
 	SaveExperimentCSVs = experiments.SaveCSVs
 )
-
-// StackelbergPolicy is the revenue-maximizing baseline from the
-// related-work contrast.
-type StackelbergPolicy = pricing.Stackelberg
 
 // Coupled traffic/game day (the SUMO-style coupling).
 type (
@@ -537,18 +425,3 @@ type RunAllExperimentOptions = experiments.RunAllOptions
 // RunAllExperimentsWith is RunAllExperiments with full options,
 // including routing every game through the parallel round engine.
 var RunAllExperimentsWith = experiments.RunAllWith
-
-// SweepMap runs n independent jobs over a worker pool and returns
-// their results in index order. Results never depend on parallelism:
-// one worker or sixteen produce the identical slice — only wall-clock
-// changes. On error the lowest-index failure is returned.
-func SweepMap[T any](n, parallelism int, job func(i int) (T, error)) ([]T, error) {
-	return sweep.Map(n, parallelism, job)
-}
-
-// SweepChain runs n jobs strictly in order, handing each job a pointer
-// to its predecessor's result (nil for the first) — the warm-start
-// chaining primitive the figure sweeps use along their x-axes.
-func SweepChain[T any](n int, job func(i int, prev *T) (T, error)) ([]T, error) {
-	return sweep.Chain(n, job)
-}
