@@ -499,30 +499,13 @@ func runTCP(players []olevgrid.Player, c int, lineCap, eta, beta float64, seed i
 	}
 	report, err := coord.Run(primCtx)
 	if err != nil && opts.crashAt > 0 && ctx.Err() == nil {
-		// The scripted crash fired. A standby observes the lapsed lease,
+		// The scripted crash fired. After a silence long enough for
+		// -autonomy agents to notice, a standby claims the lapsed lease,
 		// fences itself above the dead primary, and finishes the session
 		// over the same accepted connections.
 		fmt.Printf("primary crashed at round %d: %v\n", opts.crashAt, err)
-		time.Sleep(200 * time.Millisecond) // let the lease lapse
-		sb, serr := olevgrid.NewStandby(olevgrid.StandbyConfig{
-			InstanceID: "standby", Journal: journal, Lease: lease, LeaseTTL: time.Minute,
-		})
-		if serr != nil {
-			return serr
-		}
-		take, ok, serr := sb.TryTakeover(time.Now())
-		if serr != nil {
-			return serr
-		}
-		if !ok {
-			if take, ok, serr = sb.TryTakeover(time.Now().Add(time.Second)); serr != nil || !ok {
-				return fmt.Errorf("standby takeover refused: ok=%v err=%v", ok, serr)
-			}
-		}
-		cfg2 := cfg
-		cfg2.OnRound = nil
-		cfg2.InstanceID = "standby"
-		standby, serr := olevgrid.ResumeCoordinator(cfg2, links, take)
+		time.Sleep(200 * time.Millisecond)
+		standby, take, serr := olevgrid.Failover(cfg, links, "standby", time.Now())
 		if serr != nil {
 			return serr
 		}

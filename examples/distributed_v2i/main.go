@@ -140,30 +140,12 @@ func run() error {
 	report, err := coord.Run(primCtx)
 	if err != nil && ctx.Err() == nil {
 		// The primary is gone mid-iteration. Vehicles ride out the gap
-		// on their autonomy fallback; the standby waits out the lease,
-		// takes over fenced above the primary's epoch, and resumes from
-		// the checkpoint over the same accepted connections.
+		// on their autonomy fallback; the standby then claims the lapsed
+		// lease, fenced above the primary's epoch, and resumes from the
+		// checkpoint over the same accepted connections.
 		fmt.Printf("primary crashed mid-run: %v\n", err)
 		time.Sleep(200 * time.Millisecond)
-		sb, serr := olevgrid.NewStandby(olevgrid.StandbyConfig{
-			InstanceID: "grid-standby", Journal: journal, Lease: lease, LeaseTTL: time.Minute,
-		})
-		if serr != nil {
-			return serr
-		}
-		take, ok, serr := sb.TryTakeover(time.Now())
-		if serr != nil {
-			return serr
-		}
-		if !ok {
-			if take, ok, serr = sb.TryTakeover(time.Now().Add(time.Second)); serr != nil || !ok {
-				return fmt.Errorf("standby takeover refused: ok=%v err=%v", ok, serr)
-			}
-		}
-		cfg2 := cfg
-		cfg2.OnRound = nil
-		cfg2.InstanceID = "grid-standby"
-		standby, serr := olevgrid.ResumeCoordinator(cfg2, links, take)
+		standby, take, serr := olevgrid.Failover(cfg, links, "grid-standby", time.Now())
 		if serr != nil {
 			return serr
 		}

@@ -4,17 +4,19 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"olevgrid/internal/core"
 	"olevgrid/internal/grid"
+	"olevgrid/internal/obs"
 	"olevgrid/internal/v2i"
 )
 
-// TestControlPlaneChaos is the PR's headline acceptance experiment:
-// one seeded run (N=20, C=20) suffering, all at once,
+// TestControlPlaneChaos is the compound control-plane acceptance
+// experiment: one seeded run (N=20, C=20) suffering, all at once,
 //
 //   - 20% frame loss plus duplication and reordering on every link,
 //   - a primary coordinator crash mid-iteration with a standby
@@ -26,11 +28,88 @@ import (
 // still converge, and the final social welfare must land within 1% of
 // a fault-free run — the potential-game guarantee that faults change
 // the path, never the destination.
+//
+// Each row runs with one Metrics bundle and event sink shared by both
+// coordinator incarnations and the whole fleet, so the run is also
+// the proof that the telemetry is faithful under the worst conditions
+// the control plane supports: no count doubles across the failover,
+// epochs never regress on the event stream, agent gauges match the
+// summed AgentResults, and transport frame counters reconcile with
+// the coordinator's own. The batched row collects quotes (and
+// observes them) on concurrent goroutines; under -race every armed
+// hook is also a data-race probe.
 func TestControlPlaneChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("control-plane chaos takes seconds")
 	}
 	const n = 20
+	wClean := cleanChaosWelfare(t, n)
+	for _, row := range []struct {
+		name        string
+		parallelism int
+	}{
+		{"sequential", 0},
+		{"batched", 2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			runControlPlaneChaos(t, n, row.parallelism, wClean)
+		})
+	}
+}
+
+// cleanChaosWelfare runs the chaos fleet on clean links with no
+// faults and returns its equilibrium welfare, the reference both rows
+// gate against.
+func cleanChaosWelfare(t *testing.T, n int) float64 {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	links := make(map[string]v2i.Transport, n)
+	weights := make(map[string]float64, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("ev-%02d", i)
+		gridSide, vehicleSide := v2i.NewPair(64)
+		links[id] = gridSide
+		weights[id] = chaosWeight(i)
+		agent, err := NewAgent(AgentConfig{
+			VehicleID:    id,
+			MaxPowerKW:   60,
+			Satisfaction: core.LogSatisfaction{Weight: chaosWeight(i)},
+		}, vehicleSide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = agent.Run(ctx)
+		}()
+	}
+	base, err := NewCoordinator(CoordinatorConfig{
+		NumSections:    n,
+		LineCapacityKW: 53.55,
+		Cost:           nonlinearSpec(),
+		Tolerance:      1e-4,
+		MaxRounds:      300,
+		Seed:           7,
+	}, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := base.Run(ctx)
+	for _, l := range links {
+		_ = l.Close()
+	}
+	wg.Wait()
+	if err != nil || !report.Converged {
+		t.Fatalf("clean baseline failed: %v %+v", err, report)
+	}
+	return welfareOf(report, weights)
+}
+
+func runControlPlaneChaos(t *testing.T, n, parallelism int, wClean float64) {
 	chaosPlan := func(seed int64) v2i.FaultConfig {
 		return v2i.FaultConfig{
 			DropRate:      0.20,
@@ -44,9 +123,15 @@ func TestControlPlaneChaos(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	// Fleet: chaos-wrapped links, autonomy armed on every agent.
+	reg := obs.NewRegistry()
+	sink := obs.NewEventSink(1 << 15)
+	m := NewMetrics(reg, sink)
+	tm := v2i.NewTransportMetrics(reg)
+
+	// Fleet: chaos-wrapped, instrumented links; autonomy armed on
+	// every agent.
 	links := make(map[string]v2i.Transport, n)
-	fleet := make(map[string]*chaosFleet, n)
+	raws := make([]v2i.Transport, 0, n)
 	weights := make(map[string]float64, n)
 	var (
 		wg                   sync.WaitGroup
@@ -65,12 +150,13 @@ func TestControlPlaneChaos(t *testing.T) {
 			MaxPowerKW:   60,
 			Satisfaction: core.LogSatisfaction{Weight: chaosWeight(i)},
 			Autonomy:     &AutonomyConfig{QuoteDeadline: 40 * time.Millisecond},
+			Metrics:      m,
 		}, fv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fleet[id] = &chaosFleet{id: id, rawGrid: rawGrid, faultyGrid: fg, faultyVeh: fv, agent: agent}
-		links[id] = fg
+		raws = append(raws, rawGrid)
+		links[id] = v2i.NewInstrumented(fg, tm)
 		weights[id] = chaosWeight(i)
 		wg.Add(1)
 		go func() {
@@ -101,13 +187,7 @@ func TestControlPlaneChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outages := []SectionOutage{
-		{Section: 4, DownRound: 3, UpRound: 9},
-		{Section: 12, DownRound: 5, UpRound: 11},
-	}
 
-	journal := NewMemJournal()
-	lease := NewMemLease()
 	primCtx, crash := context.WithCancel(ctx)
 	defer crash()
 	cfg := CoordinatorConfig{
@@ -123,14 +203,19 @@ func TestControlPlaneChaos(t *testing.T) {
 		DropDeparted:     true,
 		EvictAfter:       10,
 		Seed:             7,
-		Journal:          journal,
+		Journal:          NewMemJournal(),
 		CheckpointEvery:  1,
-		Lease:            lease,
+		Lease:            NewMemLease(),
 		LeaseTTL:         60 * time.Millisecond,
 		InstanceID:       "primary",
 		HeartbeatEvery:   2,
+		Parallelism:      parallelism,
 		Feed:             feed,
-		Outages:          outages,
+		Outages: []SectionOutage{
+			{Section: 4, DownRound: 3, UpRound: 9},
+			{Section: 12, DownRound: 5, UpRound: 11},
+		},
+		Metrics: m,
 		OnRound: func(round int) {
 			if round == 4 {
 				crash() // the primary dies mid-iteration
@@ -141,34 +226,18 @@ func TestControlPlaneChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prim.Run(primCtx); err == nil {
+	primReport, err := prim.Run(primCtx)
+	if err == nil {
 		t.Fatal("primary survived its scripted crash")
 	}
+	if got := m.Rounds.Value(); got != uint64(primReport.Rounds) {
+		t.Fatalf("rounds counter %d after the crash, primary report says %d", got, primReport.Rounds)
+	}
 
-	// Silence long enough for the lease to lapse and agents to trip
-	// their autonomy deadline.
+	// Silence long enough for agents to trip their autonomy deadline.
 	time.Sleep(150 * time.Millisecond)
 
-	sb, err := NewStandby(StandbyConfig{
-		InstanceID: "standby", Journal: journal, Lease: lease, LeaseTTL: time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	take, ok, err := sb.TryTakeover(time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		take, ok, err = sb.TryTakeover(time.Now().Add(time.Second))
-		if err != nil || !ok {
-			t.Fatalf("takeover failed: ok=%v err=%v", ok, err)
-		}
-	}
-	cfg2 := cfg
-	cfg2.OnRound = nil
-	cfg2.InstanceID = "standby"
-	standby, err := ResumeCoordinator(cfg2, links, take)
+	standby, take, err := Failover(cfg, links, "standby", time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +245,8 @@ func TestControlPlaneChaos(t *testing.T) {
 		t.Fatal("standby did not warm-start from the checkpoint")
 	}
 	report, err := standby.Run(ctx)
-	for _, v := range fleet {
-		_ = v.rawGrid.Close()
+	for _, r := range raws {
+		_ = r.Close()
 	}
 	wg.Wait()
 	if err != nil {
@@ -217,51 +286,122 @@ func TestControlPlaneChaos(t *testing.T) {
 		t.Errorf("final epoch %d below the takeover fence %d", report.FinalEpoch, take.Epoch)
 	}
 
-	// Baseline: the same fleet, clean links, no faults.
-	baseLinks := make(map[string]v2i.Transport, n)
-	var baseWG sync.WaitGroup
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("ev-%02d", i)
-		gridSide, vehicleSide := v2i.NewPair(64)
-		baseLinks[id] = gridSide
-		agent, err := NewAgent(AgentConfig{
-			VehicleID:    id,
-			MaxPowerKW:   60,
-			Satisfaction: core.LogSatisfaction{Weight: chaosWeight(i)},
-		}, vehicleSide)
-		if err != nil {
-			t.Fatal(err)
-		}
-		baseWG.Add(1)
-		go func() {
-			defer baseWG.Done()
-			_, _ = agent.Run(ctx)
-		}()
-	}
-	base, err := NewCoordinator(CoordinatorConfig{
-		NumSections:    n,
-		LineCapacityKW: 53.55,
-		Cost:           spec,
-		Tolerance:      1e-4,
-		MaxRounds:      300,
-		Seed:           7,
-	}, baseLinks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseReport, err := base.Run(ctx)
-	for _, l := range baseLinks {
-		_ = l.Close()
-	}
-	baseWG.Wait()
-	if err != nil || !baseReport.Converged {
-		t.Fatalf("clean baseline failed: %v %+v", err, baseReport)
-	}
-
 	wChaos := welfareOf(report, weights)
-	wClean := welfareOf(baseReport, weights)
-	if rel := math.Abs(wChaos-wClean) / math.Abs(wClean); rel > 0.01 {
+	rel := math.Abs(wChaos-wClean) / math.Abs(wClean)
+	if rel > 0.01 {
 		t.Errorf("welfare under control-plane chaos %.6f vs clean %.6f: rel err %.4f > 1%%",
 			wChaos, wClean, rel)
 	}
+
+	// No double count: every round increments the counter exactly once
+	// at the site that also sets Report.Rounds, so the cumulative
+	// counter is the exact sum of both incarnations' reports — the
+	// checkpointed prefix the standby warm-started from is not
+	// replayed into the metrics.
+	if got, want := m.Rounds.Value(), uint64(primReport.Rounds+report.Rounds); got != want {
+		t.Errorf("rounds counter %d, want primary %d + standby %d = %d",
+			got, primReport.Rounds, report.Rounds, want)
+	}
+	if got := m.Failovers.Value(); got != 1 {
+		t.Errorf("failovers counter %d, want exactly 1", got)
+	}
+	if got := sink.CountKind(obs.EventFailover); got != 1 {
+		t.Errorf("failover events in sink %d, want exactly 1", got)
+	}
+
+	// The standby's report accounts only its own incarnation; the
+	// shared counters accumulate the primary's contribution on top.
+	if got := m.Restores.Value(); got != uint64(report.RestoresApplied) {
+		// Both restorations are scripted after the crash round, so the
+		// primary cannot have contributed any.
+		t.Errorf("restores counter %d, want %d (standby only)", got, report.RestoresApplied)
+	}
+	if got := m.Outages.Value(); got < uint64(report.OutagesApplied) {
+		t.Errorf("outages counter %d below the standby's own %d", got, report.OutagesApplied)
+	}
+	if got := m.FeedChanges.Value(); got < uint64(report.FeedChanges) {
+		t.Errorf("feed-change counter %d below the standby's own %d", got, report.FeedChanges)
+	}
+	if got := m.Retries.Value(); got < uint64(report.Retries) {
+		t.Errorf("retries counter %d below the standby's own %d", got, report.Retries)
+	}
+	if m.Checkpoints.Value() == 0 {
+		t.Error("no checkpoint ever counted despite CheckpointEvery=1")
+	}
+
+	// Agent gauges, bumped concurrently by twenty agents sharing the
+	// bundle, must equal the mutex-summed AgentResult counts exactly.
+	if got := int(m.DegradedEpisodes.Value()); got != degraded {
+		t.Errorf("degraded-episodes gauge %d, AgentResult sum %d", got, degraded)
+	}
+	if got := int(m.Reconnects.Value()); got != reconnects {
+		t.Errorf("reconnects gauge %d, AgentResult sum %d", got, reconnects)
+	}
+	if got := int(m.Heartbeats.Value()); got != heartbeats {
+		t.Errorf("heartbeats gauge %d, AgentResult sum %d", got, heartbeats)
+	}
+
+	// Cross-layer reconciliation: the coordinator counts a quote or
+	// proposal only after its Send succeeds, and the instrumented
+	// transport counts exactly the successful sends — so the two
+	// layers must agree frame for frame, across both incarnations.
+	if got, want := tm.Sent(v2i.TypeQuote), m.Quotes.Value(); got != want {
+		t.Errorf("transport counted %d quote frames, coordinator counted %d", got, want)
+	}
+	if got, want := tm.Sent(v2i.TypeSchedule), m.Proposals.Value(); got != want {
+		t.Errorf("transport counted %d schedule frames, coordinator counted %d", got, want)
+	}
+
+	// Epoch monotonicity per fencing epoch: in emission order, epochs
+	// stamped on coordinator events never decrease — within an
+	// incarnation they only grow, and the takeover fence jumps them
+	// strictly upward exactly once. The failover event itself must sit
+	// at or above the fence.
+	last := int32(-1)
+	fenced := false
+	for _, ev := range sink.Snapshot() {
+		switch ev.Kind {
+		case obs.EventQuote, obs.EventPropose, obs.EventFailover, obs.EventOutage, obs.EventRestore:
+		default:
+			continue
+		}
+		if ev.Epoch < 0 {
+			continue
+		}
+		if ev.Epoch < last {
+			t.Fatalf("epoch regressed in emission order: seq %d kind %s epoch %d after %d",
+				ev.Seq, ev.Kind, ev.Epoch, last)
+		}
+		last = ev.Epoch
+		if ev.Kind == obs.EventFailover {
+			fenced = true
+			if uint64(ev.Epoch) < take.Epoch {
+				t.Errorf("failover event epoch %d below the takeover fence %d", ev.Epoch, take.Epoch)
+			}
+		}
+		if fenced && uint64(ev.Epoch) < take.Epoch {
+			t.Errorf("post-failover event seq %d kind %s epoch %d below the fence %d",
+				ev.Seq, ev.Kind, ev.Epoch, take.Epoch)
+		}
+	}
+	if !fenced && sink.Emitted() <= uint64(sink.Cap()) {
+		t.Error("failover event missing from a sink that never wrapped")
+	}
+
+	// The exposition must carry the cumulative story.
+	var expo strings.Builder
+	if err := reg.WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"olev_sched_failovers_total 1",
+		fmt.Sprintf("olev_sched_rounds_total %d", primReport.Rounds+report.Rounds),
+	} {
+		if !strings.Contains(expo.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+
+	t.Logf("welfare rel err %.3g, rounds %d+%d, retries %d, stale frames %d, degraded episodes %d, heartbeats %d",
+		rel, primReport.Rounds, report.Rounds, report.Retries, report.StaleDropped, degraded, heartbeats)
 }

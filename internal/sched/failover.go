@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -143,8 +142,6 @@ type StandbyConfig struct {
 	// LeaseTTL is the term the standby acquires on takeover; zero means
 	// 1 s.
 	LeaseTTL time.Duration
-	// PollEvery is Watch's observation cadence; zero means LeaseTTL/4.
-	PollEvery time.Duration
 }
 
 // Standby tails a primary coordinator's journal and lease, ready to
@@ -166,9 +163,6 @@ func NewStandby(cfg StandbyConfig) (*Standby, error) {
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = time.Second
-	}
-	if cfg.PollEvery <= 0 {
-		cfg.PollEvery = cfg.LeaseTTL / 4
 	}
 	return &Standby{cfg: cfg}, nil
 }
@@ -229,24 +223,42 @@ func (s *Standby) TryTakeover(now time.Time) (Takeover, bool, error) {
 	return t, true, nil
 }
 
-// Watch polls the lease until a takeover succeeds or the context ends.
-func (s *Standby) Watch(ctx context.Context) (Takeover, error) {
-	ticker := time.NewTicker(s.cfg.PollEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return Takeover{}, ctx.Err()
-		case now := <-ticker.C:
-			t, ok, err := s.TryTakeover(now)
-			if err != nil {
-				return Takeover{}, err
-			}
-			if ok {
-				return t, nil
-			}
-		}
+// Failover promotes instanceID to primary over a primary the caller
+// knows has stopped: it claims the lease in cfg.Lease at the later of
+// now and the dead primary's observed expiry, loads the last
+// checkpoint from cfg.Journal, and resumes through ResumeCoordinator
+// with cfg's OnRound hook cleared. The standby's no-boot-steal rule
+// still holds: with no primary lease on record the takeover is
+// refused. Failover never sleeps; a caller that wants its agents to
+// see a silence waits before calling.
+func Failover(cfg CoordinatorConfig, links map[string]v2i.Transport, instanceID string, now time.Time) (*Coordinator, Takeover, error) {
+	sb, err := NewStandby(StandbyConfig{
+		InstanceID: instanceID, Journal: cfg.Journal, Lease: cfg.Lease, LeaseTTL: cfg.LeaseTTL,
+	})
+	if err != nil {
+		return nil, Takeover{}, err
 	}
+	state, _, err := cfg.Lease.Observe(now)
+	if err != nil {
+		return nil, Takeover{}, fmt.Errorf("sched: observe lease: %w", err)
+	}
+	if state.ExpiresAt.After(now) {
+		now = state.ExpiresAt
+	}
+	take, ok, err := sb.TryTakeover(now)
+	if err != nil {
+		return nil, Takeover{}, err
+	}
+	if !ok {
+		return nil, Takeover{}, fmt.Errorf("sched: takeover by %q refused", instanceID)
+	}
+	cfg.OnRound = nil
+	cfg.InstanceID = instanceID
+	c, err := ResumeCoordinator(cfg, links, take)
+	if err != nil {
+		return nil, Takeover{}, err
+	}
+	return c, take, nil
 }
 
 // ResumeCoordinator builds the new primary after a takeover: a

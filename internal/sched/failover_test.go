@@ -103,6 +103,38 @@ func TestTakeoverFencing(t *testing.T) {
 	}
 }
 
+// Failover claims a lease the caller knows is dead at its observed
+// expiry rather than waiting it out, and still refuses to steal a
+// session no primary ever held.
+func TestFailoverClaimsAtObservedExpiry(t *testing.T) {
+	gridSide, vehicleSide := v2i.NewPair(4)
+	defer gridSide.Close()
+	defer vehicleSide.Close()
+	links := map[string]v2i.Transport{"ev-0": gridSide}
+	cfg := CoordinatorConfig{
+		NumSections: 2, LineCapacityKW: 10, Cost: nonlinearSpec(),
+		Journal: NewMemJournal(), Lease: NewMemLease(), LeaseTTL: time.Second,
+	}
+	t0 := time.Unix(4000, 0)
+	if _, _, err := Failover(cfg, links, "standby", t0); err == nil {
+		t.Fatal("failover stole an empty lease table")
+	}
+	if ok, _ := cfg.Lease.Renew("primary", 9, time.Minute, t0); !ok {
+		t.Fatal("primary could not acquire")
+	}
+	c, take, err := Failover(cfg, links, "standby", t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if take.Epoch != 9+epochFenceGap || c.cfg.InstanceID != "standby" {
+		t.Errorf("takeover epoch %d instance %q", take.Epoch, c.cfg.InstanceID)
+	}
+	st, _, _ := cfg.Lease.Observe(t0)
+	if st.Holder != "standby" || !st.ExpiresAt.Equal(t0.Add(time.Minute+time.Second)) {
+		t.Errorf("lease after failover: %+v", st)
+	}
+}
+
 // refusingLease grants renewals until the refuseAt-th, then refuses
 // every one: a rival incarnation won the election at that round.
 type refusingLease struct {
@@ -262,29 +294,7 @@ func failoverCase(t *testing.T, n int, seed int64, crashRound int) (report Repor
 		return report, false
 	}
 
-	sb, err := NewStandby(StandbyConfig{
-		InstanceID: "standby", Journal: journal, Lease: lease, LeaseTTL: time.Minute,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	take, ok, err := sb.TryTakeover(time.Now())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		// The primary's lease has not lapsed in real time yet; observe
-		// it once, then step past the TTL deterministically.
-		take, ok, err = sb.TryTakeover(time.Now().Add(time.Second))
-		if err != nil || !ok {
-			t.Fatalf("takeover after lease expiry failed: ok=%v err=%v", ok, err)
-		}
-	}
-
-	cfg2 := cfg
-	cfg2.OnRound = nil
-	cfg2.InstanceID = "standby"
-	standby, err := ResumeCoordinator(cfg2, links, take)
+	standby, take, err := Failover(cfg, links, "standby", time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,10 +225,6 @@ type (
 	LeaseState = sched.LeaseState
 	// MemLease is an in-process lease for tests and single-host demos.
 	MemLease = sched.MemLease
-	// Standby tails the journal and takes over a lapsed lease.
-	Standby = sched.Standby
-	// StandbyConfig configures a Standby.
-	StandbyConfig = sched.StandbyConfig
 	// Takeover is a won election: fenced epoch/sequence plus the
 	// checkpoint to warm-start from.
 	Takeover = sched.Takeover
@@ -256,12 +252,10 @@ type (
 var (
 	// NewMemLease builds an in-process lease.
 	NewMemLease = sched.NewMemLease
-	// NewStandby builds a standby coordinator watcher.
-	NewStandby = sched.NewStandby
-	// ResumeCoordinator builds a coordinator from a won takeover,
-	// warm-started from the checkpoint and fenced above the dead
-	// primary's counters.
-	ResumeCoordinator = sched.ResumeCoordinator
+	// Failover promotes a standby over a stopped primary: it claims
+	// the lapsed lease, fences above the dead primary's counters and
+	// resumes warm from the journaled checkpoint.
+	Failover = sched.Failover
 	// NewLBMPFeed wraps a β source in a seeded fault plan.
 	NewLBMPFeed = grid.NewLBMPFeed
 	// DefaultTransportTimeouts are the TCP deadline defaults.
