@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -106,3 +107,35 @@ func TestBestResponseRandomInstancesNeverBeaten(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBestResponse measures one vehicle's work per quote: build
+// Ψ_n from the quoted background load, then solve Lemma IV.3 against
+// it — the daemon's section cost, a log satisfaction and an interior
+// optimum, so the bisection runs all its probes.
+//
+//	go test ./internal/core -run '^$' -bench BestResponse -benchmem
+func BenchmarkBestResponse(b *testing.B) {
+	charging, err := NewQuadraticCharging(0.02, 0.875, 53.55)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cost := SectionCost{Charging: charging, Overload: OverloadPenalty{Kappa: 10, Capacity: 0.9 * 53.55}}
+	sat := LogSatisfaction{Weight: 1}
+	for _, c := range []int{16, 24} {
+		b.Run(fmt.Sprintf("C=%d", c), func(b *testing.B) {
+			rng := stats.NewRand(int64(c))
+			others := make([]float64, c)
+			for i := range others {
+				others[i] = 20 + 20*rng.Float64()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchRequest = BestResponse(sat, NewPaymentFunction(cost, others), 60)
+			}
+		})
+	}
+}
+
+// benchRequest keeps BenchmarkBestResponse's result live.
+var benchRequest float64

@@ -100,11 +100,12 @@ func PerDrawWaterFill(others []float64, drawCap, total float64) (alloc []float64
 }
 
 // WithDrawCap returns a copy of the payment function that schedules
-// under the Eq. (3) per-section draw cap.
+// under the Eq. (3) per-section draw cap. The copy shares the
+// immutable background snapshot instead of sorting it again.
 func (f *PaymentFunction) WithDrawCap(drawCap float64) *PaymentFunction {
-	out := NewPaymentFunction(f.cost, f.others)
+	out := *f
 	out.drawCap = drawCap
-	return out
+	return &out
 }
 
 // MaxAllocatable returns the most power the quoted schedule can place

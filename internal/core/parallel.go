@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -470,12 +469,7 @@ func (e *roundEngine) propose(n, slot int, ws *fillScratch) {
 		}
 		ws.others[c] = o
 	}
-	copy(ws.sorted, ws.others)
-	sort.Float64s(ws.sorted)
-	ws.prefix[0] = 0
-	for k, v := range ws.sorted {
-		ws.prefix[k+1] = ws.prefix[k] + v
-	}
+	sortBreakpoints(ws.sorted, ws.prefix, ws.others)
 
 	drawCap := player.MaxSectionDrawKW
 	pmax := player.MaxPowerKW
@@ -593,33 +587,6 @@ func fillRow(dst, others []float64, drawCap, target, level float64) {
 			}
 		}
 	}
-}
-
-// levelSorted returns the exact water level λ*(total) for a sorted
-// background with prefix sums: the same breakpoint solution WaterFill
-// computes, found by binary search instead of a linear scan. The
-// predicate "filling the k lowest sections absorbs the request before
-// the level reaches section k+1" is monotone in k, so the first true
-// index is the active-set size.
-func levelSorted(sorted, prefix []float64, total float64) float64 {
-	c := len(sorted)
-	if total <= 0 {
-		return sorted[0]
-	}
-	// Inline sort.Search: the closure would be called from the hottest
-	// loop in the engine, several probes per deriv evaluation.
-	i, j := 0, c-1
-	for i < j {
-		h := int(uint(i+j) >> 1)
-		k := h + 1
-		if (total+prefix[k])/float64(k) > sorted[k] {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	k := i + 1
-	return (total + prefix[k]) / float64(k)
 }
 
 // cappedLevelSorted solves Y(λ) = Σ_c min([λ − o_c]^+, cap) = total on

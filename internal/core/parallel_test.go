@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"olevgrid/internal/obs"
@@ -267,6 +266,9 @@ func TestInstrumentedRoundZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestLevelSortedMatchesWaterFill: the shared breakpoint search
+// returns exactly the level of the linear-scan reference WaterFill
+// was built on.
 func TestLevelSortedMatchesWaterFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 500; trial++ {
@@ -276,16 +278,10 @@ func TestLevelSortedMatchesWaterFill(t *testing.T) {
 			others[i] = rng.Float64() * 30
 		}
 		total := rng.Float64() * 100
-		_, want := WaterFill(others, total)
+		want := linearScanLevel(others, total)
 
 		ws := newFillScratch(c)
-		copy(ws.others, others)
-		copy(ws.sorted, others)
-		sort.Float64s(ws.sorted)
-		ws.prefix[0] = 0
-		for k, v := range ws.sorted {
-			ws.prefix[k+1] = ws.prefix[k] + v
-		}
+		sortBreakpoints(ws.sorted, ws.prefix, others)
 		got := levelSorted(ws.sorted, ws.prefix, total)
 		if got != want {
 			t.Fatalf("trial %d: levelSorted %v != WaterFill %v (c=%d total=%v)", trial, got, want, c, total)
@@ -306,12 +302,7 @@ func TestCappedLevelSortedMatchesPerDrawWaterFill(t *testing.T) {
 		_, want := PerDrawWaterFill(others, cap, total)
 
 		ws := newFillScratch(c)
-		copy(ws.sorted, others)
-		sort.Float64s(ws.sorted)
-		ws.prefix[0] = 0
-		for k, v := range ws.sorted {
-			ws.prefix[k+1] = ws.prefix[k] + v
-		}
+		sortBreakpoints(ws.sorted, ws.prefix, others)
 		got := cappedLevelSorted(ws.sorted, ws.prefix, cap, total)
 		if math.Abs(got-want) > 1e-7*(1+math.Abs(want)) {
 			t.Fatalf("trial %d: cappedLevelSorted %v != PerDrawWaterFill %v (c=%d cap=%v total=%v)",

@@ -29,10 +29,15 @@ func Payment(costs []CostFunction, others, alloc []float64) float64 {
 // frozen background load of the other OLEVs.
 //
 // A PaymentFunction is immutable once built; the smart grid rebuilds
-// it (Eq. 20) after every best-response update.
+// it (Eq. 20) after every best-response update. Because the background
+// is frozen, its breakpoints are sorted once at construction, and every
+// uncapped evaluation — the dozens of probes a best response makes —
+// finds λ*(p) by an O(log C), allocation-free search.
 type PaymentFunction struct {
 	cost   CostFunction // shared section cost Z
-	others []float64    // P_−n snapshot
+	others []float64    // P_−n snapshot, in section order
+	// sorted and prefix are others prepared by sortBreakpoints.
+	sorted, prefix []float64
 	// drawCap is the Eq. (3) per-section coupling limit for this
 	// vehicle; non-positive means uncapped. Set via WithDrawCap.
 	drawCap float64
@@ -42,9 +47,12 @@ type PaymentFunction struct {
 // the shared section cost and the other OLEVs' current per-section
 // totals. The slice is copied.
 func NewPaymentFunction(cost CostFunction, others []float64) *PaymentFunction {
-	o := make([]float64, len(others))
-	copy(o, others)
-	return &PaymentFunction{cost: cost, others: o}
+	c := len(others)
+	buf := make([]float64, 3*c+1)
+	f := &PaymentFunction{cost: cost, others: buf[:c:c], sorted: buf[c : 2*c : 2*c], prefix: buf[2*c:]}
+	copy(f.others, others)
+	sortBreakpoints(f.sorted, f.prefix, others)
+	return f
 }
 
 // At evaluates Ψ_n(p): the total payment for requesting p kW.
@@ -67,25 +75,37 @@ func (f *PaymentFunction) At(p float64) float64 {
 // of the minimum-cost schedule's payment is the marginal section cost
 // at the water level: Ψ'_n(p) = Z'(λ*(p)). With an Eq. (3) draw cap
 // the marginal power still lands on sections below their cap at the
-// level, so the identity carries over.
+// level, so the identity carries over. Uncapped, it allocates nothing.
 func (f *PaymentFunction) Marginal(p float64) float64 {
 	if p < 0 {
 		p = 0
 	}
-	_, level := f.fill(p)
-	return f.cost.Marginal(level)
+	if f.drawCap > 0 {
+		_, level := PerDrawWaterFill(f.others, f.drawCap, p)
+		return f.cost.Marginal(level)
+	}
+	return f.cost.Marginal(f.level(p))
 }
 
 // Schedule returns the water-filled allocation p̂_n(p) the quote is
 // based on.
 func (f *PaymentFunction) Schedule(p float64) []float64 {
-	alloc, _ := f.fill(p)
+	if f.drawCap > 0 {
+		alloc, _ := PerDrawWaterFill(f.others, f.drawCap, p)
+		return alloc
+	}
+	alloc := make([]float64, len(f.others))
+	if p > 0 {
+		pourTo(alloc, f.others, f.level(p))
+	}
 	return alloc
 }
 
-func (f *PaymentFunction) fill(p float64) ([]float64, float64) {
-	if f.drawCap > 0 {
-		return PerDrawWaterFill(f.others, f.drawCap, p)
+// level is the uncapped water level λ*(p) — exactly WaterFill's, from
+// the presorted breakpoints.
+func (f *PaymentFunction) level(p float64) float64 {
+	if len(f.sorted) == 0 {
+		return 0
 	}
-	return WaterFill(f.others, p)
+	return levelSorted(f.sorted, f.prefix, p)
 }

@@ -36,9 +36,9 @@ const (
 // smallest entry of others (the level at which water would first
 // start to pool). The input slice is not modified.
 //
-// The exact O(C log C) breakpoint algorithm is used; WaterFillBisect
-// provides the paper's bisection formulation and the tests cross-check
-// the two.
+// The exact breakpoint algorithm is used (sortBreakpoints, then
+// levelSorted); WaterFillBisect provides the paper's bisection
+// formulation and the tests cross-check the two.
 func WaterFill(others []float64, total float64) (alloc []float64, level float64) {
 	alloc = make([]float64, len(others))
 	if len(others) == 0 {
@@ -54,31 +54,115 @@ func WaterFill(others []float64, total float64) (alloc []float64, level float64)
 		return alloc, min
 	}
 
-	sorted := make([]float64, len(others))
-	copy(sorted, others)
-	sort.Float64s(sorted)
-
-	// Find the smallest k such that filling the k lowest sections up
-	// to a common level absorbs the whole request before the level
-	// reaches the (k+1)-th section's load.
-	var prefix float64
-	level = sorted[len(sorted)-1] + total // fallback: all sections flooded
-	for k := 1; k <= len(sorted); k++ {
-		prefix += sorted[k-1]
-		candidate := (total + prefix) / float64(k)
-		if k == len(sorted) || candidate <= sorted[k] {
-			level = candidate
-			break
-		}
-	}
-
-	for i, o := range others {
-		if level > o {
-			alloc[i] = level - o
-		}
-	}
+	buf := make([]float64, 2*len(others)+1)
+	sorted, prefix := buf[:len(others)], buf[len(others):]
+	sortBreakpoints(sorted, prefix, others)
+	level = levelSorted(sorted, prefix, total)
+	pourTo(alloc, others, level)
 	return alloc, level
 }
+
+// pourTo writes the allocation at a water level, [level − others_c]^+,
+// into alloc.
+func pourTo(alloc, others []float64, level float64) {
+	for c, o := range others {
+		if level > o {
+			alloc[c] = level - o
+		}
+	}
+}
+
+// sortBreakpoints prepares a background load for the level searches:
+// sorted receives others in ascending order and prefix (one longer)
+// its running sums, prefix[k] = Σ_{i<k} sorted[i]. It is the one
+// O(C log C) step of a water-fill; every level evaluation after it is
+// O(log C) (levelSorted) or O(C) (cappedLevelSorted), so a caller that
+// probes many totals against one background — a frozen quote — sorts
+// once.
+func sortBreakpoints(sorted, prefix, others []float64) {
+	copy(sorted, others)
+	sort.Float64s(sorted)
+	prefix[0] = 0
+	for k, v := range sorted {
+		prefix[k+1] = prefix[k] + v
+	}
+}
+
+// levelSorted returns the water level λ*(total) on a background
+// prepared by sortBreakpoints. The active set is the smallest k such
+// that filling the k lowest sections to a common level absorbs the
+// whole request before the level reaches section k+1's load, and the
+// level is (total + prefix_k)/k — the breakpoint scan
+//
+//	for k := 1; k < C && (total+prefix[k])/k > sorted[k]; k++ {}
+//
+// evaluated with the same float operations, so the result is that
+// scan's bit for bit. The predicate is monotone in k in exact
+// arithmetic, so a binary search finds the candidate in O(log C)
+// probes. Rounding can break that monotonicity only where the level
+// sits within a few ulps of a run of (near-)tied loads, so unless the
+// search's last false probe cleared its load by more than the rounding
+// error, a downward pass re-checks that run and stops at the first
+// index that does, below which every index is provably false too (see
+// levelRoundingSlack). A non-positive total returns the lowest load,
+// the level at which water would first start to pool.
+func levelSorted(sorted, prefix []float64, total float64) float64 {
+	c := len(sorted)
+	if total <= 0 {
+		return sorted[0]
+	}
+	// Inline sort.Search: this runs in the hottest loops of both
+	// solvers, several probes per best-response derivative. The search
+	// ends on a true index i+1 whose predecessor i was probed false,
+	// by gap.
+	i, j := 0, c-1
+	var gap float64
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		k := h + 1
+		if lvl := (total + prefix[k]) / float64(k); lvl > sorted[k] {
+			i = h + 1
+			gap = lvl - sorted[k]
+		} else {
+			j = h
+		}
+	}
+	k := i + 1
+	if i > 0 && !levelClearlyAbove(sorted, prefix, total, i, gap) {
+		// Rare: the level is within rounding of the load at index i, so
+		// an earlier index may be true; walk down to the scan's first.
+		for m := i; m >= 1; m-- {
+			lvl := (total + prefix[m]) / float64(m)
+			if lvl <= sorted[m] {
+				k = m
+			} else if levelClearlyAbove(sorted, prefix, total, m, lvl-sorted[m]) {
+				break
+			}
+		}
+	}
+	return (total + prefix[k]) / float64(k)
+}
+
+// levelClearlyAbove reports whether the computed level for m active
+// sections exceeds sorted[m] by gap by more than rounding can explain,
+// which makes index m and every index below it false.
+func levelClearlyAbove(sorted, prefix []float64, total float64, m int, gap float64) bool {
+	bound := total + math.Abs(prefix[m]) // Σ|load| bound; negatives add below
+	if sorted[0] < 0 {
+		bound -= 2 * float64(m) * sorted[0]
+	}
+	return gap*float64(m) > levelRoundingSlack*float64(m+2)*bound
+}
+
+// levelRoundingSlack scales levelClearlyAbove's margin. The
+// computed level (total + prefix_m)/m differs from the exact one by at
+// most (m+2)·u·(total + Σ_{i<m}|sorted_i|)/m, u = 2^-53. If the exact
+// level exceeds sorted_m by g, then for every j < m the exact level
+// exceeds sorted_j by at least (m/j)·g (it averages in loads no larger
+// than sorted_m); a computed gap of eight error bounds therefore leaves
+// every lower index false even after rounding, with room for the
+// rounding of the check itself.
+const levelRoundingSlack = 8 * 0x1p-53
 
 // WaterFillBisect solves the same problem by bisecting on the root of
 // Y(λ) = Σ_c [λ − others_c]^+ − total, the method the paper's
@@ -138,12 +222,4 @@ func WaterFillBisect(others []float64, total float64, tol float64) (alloc []floa
 		}
 	}
 	return alloc, level
-}
-
-// WaterLevel returns only λ*(p_n) for a request of total against the
-// given background load — the quantity the best-response derivative
-// needs (Ψ'_n(p_n) = Z'(λ*(p_n)) by the envelope theorem).
-func WaterLevel(others []float64, total float64) float64 {
-	_, level := WaterFill(others, total)
-	return level
 }

@@ -214,13 +214,14 @@ func randomSplit(r *rand.Rand, c int, total float64) []float64 {
 	return out
 }
 
-// TestWaterLevelMonotone: λ*(p) must be strictly increasing in p once
-// p > 0 — the property the best-response bisection relies on.
+// TestWaterLevelMonotone: the payment function's λ*(p) must be
+// strictly increasing in p once p > 0 — the property the best-response
+// bisection relies on.
 func TestWaterLevelMonotone(t *testing.T) {
-	others := []float64{3, 8, 0, 15}
-	prev := WaterLevel(others, 0.1)
+	psi := NewPaymentFunction(testCost(t), []float64{3, 8, 0, 15})
+	prev := psi.level(0.1)
 	for p := 1.0; p <= 100; p++ {
-		cur := WaterLevel(others, p)
+		cur := psi.level(p)
 		if cur <= prev {
 			t.Fatalf("level not increasing at p=%v: %v <= %v", p, cur, prev)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"olevgrid/internal/core"
+	"olevgrid/internal/stats"
 	"olevgrid/internal/v2i"
 )
 
@@ -90,3 +91,38 @@ func BenchmarkConvergenceVsDropRate(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCoordinatorTotals measures the coordinator's P_c pass — the
+// section-totals vector every quote is priced against — at a
+// stadium-egress-sized fleet (N=120, C=24).
+//
+//	go test ./internal/sched -run '^$' -bench CoordinatorTotals -benchmem
+func BenchmarkCoordinatorTotals(b *testing.B) {
+	const n, c = 120, 24
+	links := make(map[string]v2i.Transport, n)
+	for i := 0; i < n; i++ {
+		grid, _ := v2i.NewPair(1)
+		links[fmt.Sprintf("ev-%03d", i)] = grid
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{
+		NumSections: c, LineCapacityKW: 53.55, Cost: nonlinearSpec(),
+	}, links)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := stats.NewRand(1)
+	for i := 0; i < n; i++ {
+		row := coord.schedule[fmt.Sprintf("ev-%03d", i)]
+		for s := range row {
+			row[s] = 2 * rng.Float64()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchTotals = coord.SectionTotals()
+	}
+}
+
+// benchTotals keeps BenchmarkCoordinatorTotals' result live.
+var benchTotals []float64

@@ -274,6 +274,12 @@ type Coordinator struct {
 	cost     core.CostFunction
 	links    map[string]v2i.Transport
 	schedule map[string][]float64
+	// order is schedule's vehicle IDs in sorted order, the fixed
+	// summation order of totalsVec. Every change to the fleet's
+	// membership (removeVehicle, admitJoins, AddVehicle) resets it to
+	// nil, and sortedIDs rebuilds it on next use, so a steady round
+	// sorts nothing.
+	order []string
 
 	// epoch is the schedule version: it advances on every install,
 	// join, departure, and eviction, so any quote stamped with an
@@ -468,11 +474,9 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 	if c.closed.Load() {
 		return Report{}, errors.New("sched: coordinator is closed")
 	}
-	ids := make([]string, 0, len(c.links))
-	for id := range c.links {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	// The visit list starts from the sorted fleet (the links and the
+	// schedule share their keys) and is shuffled in place per round.
+	ids := append([]string(nil), c.sortedIDs()...)
 
 	c.mu.Lock()
 	c.counts = Counts{}
@@ -861,6 +865,7 @@ func (c *Coordinator) breakerTrips(id string) bool {
 func (c *Coordinator) removeVehicle(id string) float64 {
 	released := sum(c.schedule[id])
 	delete(c.schedule, id)
+	c.order = nil
 	delete(c.lastSeq, id)
 	delete(c.consecFails, id)
 	c.mu.Lock()
@@ -1301,18 +1306,26 @@ func (c *Coordinator) broadcastDone(ctx context.Context, report Report) {
 // vehicle's background load as totals − own, which only reproduces the
 // unicast quote bit for bit when both sides build totals the same way.
 func (c *Coordinator) totalsVec() []float64 {
-	ids := make([]string, 0, len(c.schedule))
-	for id := range c.schedule {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	out := make([]float64, c.cfg.NumSections)
-	for _, id := range ids {
+	for _, id := range c.sortedIDs() {
 		for i, v := range c.schedule[id] {
 			out[i] += v
 		}
 	}
 	return out
+}
+
+// sortedIDs returns the scheduled vehicle IDs in sorted order, sorting
+// only after a membership change has reset the cached order.
+func (c *Coordinator) sortedIDs() []string {
+	if c.order == nil {
+		c.order = make([]string, 0, len(c.schedule))
+		for id := range c.schedule {
+			c.order = append(c.order, id)
+		}
+		sort.Strings(c.order)
+	}
+	return c.order
 }
 
 // othersFrom derives P_−n as totals − own, elementwise. This is the
@@ -1325,11 +1338,6 @@ func othersFrom(totals, own []float64) []float64 {
 		out[i] -= own[i]
 	}
 	return out
-}
-
-// othersTotals returns P_−n per section.
-func (c *Coordinator) othersTotals(id string) []float64 {
-	return othersFrom(c.totalsVec(), c.schedule[id])
 }
 
 // SectionTotals returns the current P_c vector.

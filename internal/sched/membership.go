@@ -78,6 +78,7 @@ func (c *Coordinator) admitJoins() []string {
 				}
 			}
 			c.schedule[j.id] = row
+			c.order = nil
 			c.lastSeq[j.id] = 0
 			c.consecFails[j.id] = 0
 			c.epoch++ // quotes must reflect the newcomer's load
@@ -106,6 +107,7 @@ func (c *Coordinator) AddVehicle(id string, link v2i.Transport) error {
 	}
 	c.links[id] = link
 	c.schedule[id] = make([]float64, c.cfg.NumSections)
+	c.order = nil
 	c.lastSeq[id] = 0
 	c.consecFails[id] = 0
 	c.epoch++
