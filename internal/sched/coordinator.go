@@ -1102,13 +1102,17 @@ func (c *Coordinator) collectRequest(ctx context.Context, id string, round int, 
 			c.countStale() // e.g. a re-sent Hello; not this exchange's answer
 			continue
 		}
-		if err := v2i.Open(reply, v2i.TypeRequest, &req); err != nil {
+		// Decode into a fresh Request: decoding merges, so reusing one
+		// would let an omitted field inherit a discarded reply's value.
+		var r v2i.Request
+		if err := v2i.Open(reply, v2i.TypeRequest, &r); err != nil {
 			return v2i.Request{}, err
 		}
-		if req.Epoch != epoch {
+		if r.Epoch != epoch {
 			c.countStale() // best-response against an outdated background load
 			continue
 		}
+		req = r
 		break
 	}
 	if req.TotalKW < 0 || math.IsNaN(req.TotalKW) || math.IsInf(req.TotalKW, 0) {

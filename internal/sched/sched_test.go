@@ -356,6 +356,96 @@ func TestDrawCapTravelsTheWire(t *testing.T) {
 	}
 }
 
+// TestStaleReplyFieldsDoNotLeak: a discarded reply must not lend its
+// fields to the accepted one. The scripted vehicle answers its first
+// quote with a stale-epoch request carrying a per-section draw cap,
+// then with a fresh request that has none; the coordinator must
+// install the uncapped water-fill of the fresh request.
+func TestStaleReplyFieldsDoNotLeak(t *testing.T) {
+	const totalKW = 30
+	gridSide, vehicleSide := v2i.NewPair(8)
+	coord, err := NewCoordinator(CoordinatorConfig{
+		NumSections:    6,
+		LineCapacityKW: 53.55,
+		Cost:           nonlinearSpec(),
+		Tolerance:      1e-6,
+		MaxRounds:      5,
+	}, map[string]v2i.Transport{"ev": gridSide})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	var firstQuote v2i.Quote
+	var firstAlloc []float64
+	var seq uint64
+	send := func(req v2i.Request) error {
+		seq++
+		return v2i.SendMsg(ctx, vehicleSide, v2i.TypeRequest, "ev", seq, &req)
+	}
+	peer := make(chan error, 1)
+	go func() {
+		peer <- func() error {
+			for {
+				env, err := vehicleSide.Recv(ctx)
+				if err != nil {
+					return nil // the link closes after the run
+				}
+				switch env.Type {
+				case v2i.TypeQuote:
+					var q v2i.Quote
+					if err := v2i.Open(env, v2i.TypeQuote, &q); err != nil {
+						return err
+					}
+					fresh := v2i.Request{VehicleID: "ev", TotalKW: totalKW, Round: q.Round, Epoch: q.Epoch}
+					if firstQuote.Cost.Kind == "" {
+						firstQuote = q
+						stale := fresh
+						stale.Epoch, stale.DrawCapKW = q.Epoch+100, 1
+						if err := send(stale); err != nil {
+							return err
+						}
+					}
+					if err := send(fresh); err != nil {
+						return err
+					}
+				case v2i.TypeSchedule:
+					var msg v2i.ScheduleMsg
+					if err := v2i.Open(env, v2i.TypeSchedule, &msg); err != nil {
+						return err
+					}
+					if firstAlloc == nil {
+						firstAlloc = msg.AllocKW
+					}
+				case v2i.TypeBye:
+					return nil
+				}
+			}
+		}()
+	}()
+	report, err := coord.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = gridSide.Close()
+	if err := <-peer; err != nil {
+		t.Fatalf("scripted vehicle: %v", err)
+	}
+	if report.StaleDropped == 0 {
+		t.Fatal("the stale-epoch request was not dropped")
+	}
+	want, _ := core.WaterFill(firstQuote.Others, totalKW)
+	if len(firstAlloc) != len(want) {
+		t.Fatalf("installed row %v, want uncapped water-fill %v", firstAlloc, want)
+	}
+	for s := range want {
+		if math.Float64bits(firstAlloc[s]) != math.Float64bits(want[s]) {
+			t.Fatalf("installed row %v, want uncapped water-fill %v", firstAlloc, want)
+		}
+	}
+}
+
 func TestCollectHellosRejectsDuplicates(t *testing.T) {
 	srv, err := v2i.Listen("127.0.0.1:0")
 	if err != nil {

@@ -16,7 +16,7 @@ package v2i
 // omitempty convention). Body codec 1 exists so wrappers that can
 // only see sealed Envelopes (the fault injector) still ride a binary
 // connection: the JSON body bytes travel inside a binary frame and
-// Open falls back to encoding/json for them.
+// Open decodes them as it does any JSON body.
 //
 // Everything here is allocation-free in steady state: encoding
 // appends into a caller-owned scratch buffer, and decoding aliases

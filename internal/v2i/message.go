@@ -3,6 +3,12 @@
 // JSON wire encoding, an in-memory transport for simulation, a TCP
 // transport standing in for the paper's IEEE 802.11p / LTE links, and
 // a fault-injecting wrapper for failure testing.
+//
+// Message bodies are JSON as encoding/json writes them. The three
+// bodies of every best-response exchange — Quote, Request and
+// ScheduleMsg — are encoded and decoded without reflection (jsonbody.go), byte for byte and field for field the same
+// as encoding/json, which still handles every other body and every
+// input outside that codec's canonical subset.
 package v2i
 
 import (
@@ -179,26 +185,41 @@ type Heartbeat struct {
 	Round int    `json:"round"`
 }
 
-// Seal marshals a body into an envelope.
+// Seal marshals a body into an envelope. The body bytes are exactly
+// json.Marshal's: a *Quote, *Request or *ScheduleMsg is encoded
+// without reflection into one allocation, and any other body, or one
+// holding a value that codec declines (NaN, ±Inf, a string json.Marshal
+// would escape), goes through json.Marshal, whose error Seal returns.
 func Seal(t MessageType, from string, seq uint64, body any) (Envelope, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return Envelope{}, fmt.Errorf("v2i: marshal %s: %w", t, err)
+	raw, ok := sealJSONBody(body)
+	if !ok {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
+			return Envelope{}, fmt.Errorf("v2i: marshal %s: %w", t, err)
+		}
 	}
 	return Envelope{Type: t, From: from, Seq: seq, Body: raw}, nil
 }
 
 // Open decodes an envelope body into out, checking the type tag. A
 // JSON body (every sealed envelope, and JSON bodies carried inside
-// binary frames) goes through encoding/json; a typed-binary body from
-// the binary frame decoder takes the allocation-free fixed-layout
-// path, reusing out's slice storage.
+// binary frames) decodes with json.Unmarshal's semantics: into a
+// *Quote, *Request or *ScheduleMsg through the reflection-free decoder
+// when the body is in its canonical subset, and through encoding/json
+// otherwise, so errors and unusual inputs behave as json.Unmarshal's
+// (a syntax error leaves out unchanged; a type error may leave it
+// partly written). A typed-binary body from the binary frame decoder
+// takes the allocation-free fixed-layout path. Both paths reuse out's
+// slice storage.
 func Open(env Envelope, want MessageType, out any) error {
 	if env.Type != want {
 		return fmt.Errorf("v2i: got %s, want %s", env.Type, want)
 	}
 	if env.bodyBin {
 		return decodeBinaryBody(env.Type, env.Body, env.dec, out)
+	}
+	if openJSONBody(env.Body, out) {
+		return nil
 	}
 	if err := json.Unmarshal(env.Body, out); err != nil {
 		return fmt.Errorf("v2i: unmarshal %s: %w", want, err)
