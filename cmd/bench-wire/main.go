@@ -1,19 +1,22 @@
-// Command bench-wire is the A/B harness for the two V2I frame codecs:
-// the newline-delimited JSON wire (the default) and the length-prefixed
-// binary wire with coalesced QuoteBatch quote broadcasts. It emits
-// machine-readable BENCH_wire.json with four measurements:
+// Command bench-wire is the A/B harness for the two V2I wires: the
+// JSON-body envelopes in-memory links carry (unicast quotes) and the
+// length-prefixed binary frames every connection carries (coalesced
+// QuoteBatch quote broadcasts). It emits machine-readable
+// BENCH_wire.json with four measurements:
 //
 //   - codec: encode and decode ns/op and bytes/frame for a
-//     representative C-section quote on each codec, the binary codec's
-//     steady-state allocs/op (encode and decode), and the JSON send
-//     path's pooled-vs-legacy allocation delta;
+//     representative C-section quote on each codec — json.Marshal and
+//     json.Unmarshal of the envelope plus Open against the binary frame
+//     codec — and the binary codec's steady-state allocs/op (encode and
+//     decode);
 //   - broadcast: the bytes needed to deliver one round of quotes to N
-//     vehicles — N unicast JSON Quote frames vs N binary QuoteBatch
+//     vehicles — N unicast JSON Quote envelopes vs N binary QuoteBatch
 //     frames sharing the section-totals payload with the own row
 //     elided;
 //   - game: the same N-vehicle pricing game run end to end over both
-//     wires (connection-backed pipe pairs), with wall clock, per-round
-//     latency, and the resulting welfare compared bit for bit;
+//     wires (in-memory channel pairs vs connection-backed pipe pairs),
+//     with wall clock, per-round latency, and the resulting welfare
+//     compared bit for bit;
 //   - gates: with -check the run exits non-zero unless the binary
 //     codec is at least 3× JSON on both encode and decode, its encode
 //     and decode are allocation-free, the batched broadcast costs at
@@ -33,7 +36,6 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"net"
 	"os"
 	"runtime"
 	"sync"
@@ -65,19 +67,13 @@ type codecBench struct {
 
 	BinEncodeAllocsOp float64 `json:"bin_encode_allocs_op"`
 	BinDecodeAllocsOp float64 `json:"bin_decode_allocs_op"`
-
-	// The satellite accounting for the pooled JSON send path: allocs
-	// per Send through the connection transport's reused buffer vs the
-	// fresh-Marshal allocation the old path paid per frame.
-	JSONPooledSendAllocsOp float64 `json:"json_pooled_send_allocs_op"`
-	JSONFreshMarshalAllocs float64 `json:"json_fresh_marshal_allocs_op"`
 }
 
 type broadcastBench struct {
 	Fleet    int `json:"fleet"`
 	Sections int `json:"sections"`
 	// JSONUnicastBytes is one round of quotes as N unicast JSON Quote
-	// frames, each carrying its own N−1 background vector.
+	// envelopes, each carrying its own N−1 background vector.
 	JSONUnicastBytes int `json:"json_unicast_bytes"`
 	// BinaryBatchBytes is the same round as N binary QuoteBatch frames
 	// sharing the section-totals header, own rows elided (the steady
@@ -204,19 +200,6 @@ func costSpec() v2i.CostSpec {
 	}
 }
 
-// discardConn is a net.Conn that swallows writes; it backs the
-// send-path allocation measurement.
-type discardConn struct{}
-
-func (discardConn) Read([]byte) (int, error)         { return 0, fmt.Errorf("discard: no reads") }
-func (discardConn) Write(p []byte) (int, error)      { return len(p), nil }
-func (discardConn) Close() error                     { return nil }
-func (discardConn) LocalAddr() net.Addr              { return nil }
-func (discardConn) RemoteAddr() net.Addr             { return nil }
-func (discardConn) SetDeadline(time.Time) error      { return nil }
-func (discardConn) SetReadDeadline(time.Time) error  { return nil }
-func (discardConn) SetWriteDeadline(time.Time) error { return nil }
-
 func runCodecBench(c int) (codecBench, error) {
 	var out codecBench
 	quote, _ := benchQuote(c)
@@ -228,7 +211,6 @@ func runCodecBench(c int) (codecBench, error) {
 	if err != nil {
 		return out, err
 	}
-	jframe = append(jframe, '\n')
 	bframe, err := v2i.AppendBinaryFrame(nil, v2i.TypeQuote, "smart-grid", 7, &quote)
 	if err != nil {
 		return out, err
@@ -245,9 +227,8 @@ func runCodecBench(c int) (codecBench, error) {
 		return float64(r.NsPerOp())
 	}
 
-	// Encode: what each wire does per outgoing frame — a fresh Marshal
-	// for JSON (the envelope path), an append into a reused buffer for
-	// binary (the typed path).
+	// Encode: a fresh Marshal of the sealed envelope for JSON, an
+	// append into a reused buffer for binary (the typed path).
 	out.JSONEncodeNsOp = nsPerOp(func() {
 		b, err := json.Marshal(env)
 		if err != nil || len(b) == 0 {
@@ -263,11 +244,11 @@ func runCodecBench(c int) (codecBench, error) {
 		}
 	})
 
-	// Decode: frame bytes back to an opened Quote.
+	// Decode: encoded bytes back to an opened Quote.
 	var jq v2i.Quote
 	out.JSONDecodeNsOp = nsPerOp(func() {
-		env, err := v2i.DecodeFrame(jframe)
-		if err != nil {
+		var env v2i.Envelope
+		if err := json.Unmarshal(jframe, &env); err != nil {
 			panic("decode")
 		}
 		jq = v2i.Quote{}
@@ -307,25 +288,6 @@ func runCodecBench(c int) (codecBench, error) {
 			panic("open")
 		}
 	})
-
-	// The pooled JSON send path vs the fresh Marshal it replaced.
-	tx := v2i.NewConnTransport(discardConn{})
-	ctx := context.Background()
-	out.JSONPooledSendAllocsOp = testing.AllocsPerRun(200, func() {
-		if err := tx.Send(ctx, env); err != nil {
-			panic("send")
-		}
-	})
-	out.JSONFreshMarshalAllocs = testing.AllocsPerRun(200, func() {
-		b, err := json.Marshal(env)
-		if err != nil {
-			panic("marshal")
-		}
-		b = append(b, '\n')
-		if _, err := (discardConn{}).Write(b); err != nil {
-			panic("write")
-		}
-	})
 	return out, nil
 }
 
@@ -347,7 +309,7 @@ func runBroadcastBench(n, c int) (broadcastBench, error) {
 		if err != nil {
 			return out, err
 		}
-		out.JSONUnicastBytes += len(frame) + 1 // newline delimiter
+		out.JSONUnicastBytes += len(frame)
 	}
 
 	// Binary batch: the shared round header + totals, own row elided —
@@ -366,8 +328,9 @@ func runBroadcastBench(n, c int) (broadcastBench, error) {
 	return out, nil
 }
 
-// runGame plays one clean n-vehicle game over pipe pairs on the given
-// wire and reports rounds, welfare, and wall clock.
+// runGame plays one clean n-vehicle game on the given wire — in-memory
+// channel pairs for JSON, connection-backed pipe pairs for binary — and
+// reports rounds, welfare, and wall clock.
 func runGame(w v2i.Wire, n, c, parallel int, tol float64, rounds int) (gameRun, error) {
 	var out gameRun
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
@@ -377,7 +340,10 @@ func runGame(w v2i.Wire, n, c, parallel int, tol float64, rounds int) (gameRun, 
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("ev-%04d", i)
-		gridSide, vehSide := v2i.NewPipePair(w)
+		gridSide, vehSide := v2i.NewPair(64)
+		if w == v2i.WireBinary {
+			gridSide, vehSide = v2i.NewPipePair()
+		}
 		links[id] = gridSide
 		agent, err := sched.NewAgent(sched.AgentConfig{
 			VehicleID:    id,

@@ -73,7 +73,6 @@ func run() error {
 	solver := flag.String("solver", "", "equilibrium engine for the nonlinear policy: empty/exact (per-vehicle dynamics) or meanfield (aggregated population tier)")
 	clusters := flag.Int("clusters", 0, "meanfield: population budget K (0 = tier default)")
 	tcp := flag.Bool("tcp", false, "run distributed over localhost TCP")
-	wireName := flag.String("wire", "", `tcp: V2I frame codec, "json" (default) or "binary" (negotiated; a mixed pair settles on json)`)
 	drop := flag.Float64("drop", 0, "tcp: per-frame drop probability on grid-side links")
 	dup := flag.Float64("dup", 0, "tcp: per-frame duplication probability on grid-side links")
 	reorder := flag.Float64("reorder", 0, "tcp: per-frame reorder probability on grid-side links")
@@ -171,10 +170,6 @@ func run() error {
 				})
 			}
 		}
-		wire, err := olevgrid.ParseWire(*wireName)
-		if err != nil {
-			return err
-		}
 		if err := runTCP(game.Players, game.NumSections, game.LineCapacityKW, game.Eta, game.BetaPerMWh, game.Seed, tcpOptions{
 			drop: *drop, dup: *dup, reorder: *reorder,
 			evictAfter: *evictAfter, journalPath: *journalPath,
@@ -182,14 +177,11 @@ func run() error {
 			parallelism: *parallelism,
 			crashAt:     *crashAt, autonomy: *autonomy,
 			feedDrop: *feedDrop, outages: outages,
-			telemetry: telemetry, wire: wire,
+			telemetry: telemetry,
 		}); err != nil {
 			return err
 		}
 		return telemetry.dump(*metricsOut)
-	}
-	if *wireName != "" {
-		return fmt.Errorf("-wire selects the V2I codec; it requires -tcp")
 	}
 	if *fsyncPolicy != "" {
 		return fmt.Errorf("-fsync shapes the -journal store; it requires -tcp")
@@ -334,7 +326,6 @@ type tcpOptions struct {
 	feedDrop           float64
 	outages            []olevgrid.SectionOutage
 	telemetry          *obsBundle
-	wire               olevgrid.Wire
 }
 
 func (o tcpOptions) chaotic() bool { return o.drop > 0 || o.dup > 0 || o.reorder > 0 }
@@ -374,8 +365,7 @@ func runTCP(players []olevgrid.Player, c int, lineCap, eta, beta float64, seed i
 		return err
 	}
 	defer func() { _ = srv.Close() }()
-	srv.Wire = opts.wire // codec the server accepts; dialers below it settle on JSON
-	fmt.Printf("smart grid listening on %s (wire %s)\n", srv.Addr(), opts.wire)
+	fmt.Printf("smart grid listening on %s\n", srv.Addr())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -391,13 +381,13 @@ func runTCP(players []olevgrid.Player, c int, lineCap, eta, beta float64, seed i
 		wg.Add(1)
 		go func(i int, p olevgrid.Player) {
 			defer wg.Done()
-			_, errs[i] = olevgrid.RunAgentTCPWire(ctx, srv.Addr(), olevgrid.AgentConfig{
+			_, errs[i] = olevgrid.RunAgentTCP(ctx, srv.Addr(), olevgrid.AgentConfig{
 				VehicleID:    p.ID,
 				MaxPowerKW:   p.MaxPowerKW,
 				Satisfaction: p.Satisfaction,
 				Autonomy:     auto,
 				Metrics:      cpm,
-			}, opts.wire)
+			})
 		}(i, p)
 	}
 

@@ -310,14 +310,7 @@ func (a *Agent) respond(ctx context.Context, quote *v2i.Quote, ownSum float64, r
 // RunTCP is the full client-side lifecycle for a TCP deployment:
 // dial, hello, run.
 func RunTCP(ctx context.Context, addr string, cfg AgentConfig) (AgentResult, error) {
-	return RunTCPWire(ctx, addr, cfg, v2i.WireJSON)
-}
-
-// RunTCPWire is RunTCP offering a wire codec at dial time; the
-// negotiated wire is whatever the server accepts (a JSON-only server
-// settles a binary-offering agent down to JSON).
-func RunTCPWire(ctx context.Context, addr string, cfg AgentConfig, w v2i.Wire) (AgentResult, error) {
-	link, err := v2i.DialWire(ctx, addr, w)
+	link, err := v2i.Dial(ctx, addr)
 	if err != nil {
 		return AgentResult{}, err
 	}

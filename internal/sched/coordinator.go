@@ -1045,7 +1045,7 @@ func (c *Coordinator) updateOne(ctx context.Context, id string, round int) (floa
 // the mu-guarded sentRow cache), so batched rounds run it concurrently
 // for several vehicles.
 //
-// When totals is non-nil and the link negotiated the binary wire, the
+// When totals is non-nil and the link is a binary connection, the
 // quote goes out as a QuoteBatch: the shared section totals instead of
 // a per-vehicle background vector, with the vehicle's own row elided
 // whenever the sentRow cache proves the vehicle already holds it bit

@@ -19,7 +19,7 @@ import (
 func TestDepartingVehicleDropped(t *testing.T) {
 	for name, pair := range map[string]func() (v2i.Transport, v2i.Transport){
 		"channel-pair": func() (v2i.Transport, v2i.Transport) { return v2i.NewPair(8) },
-		"binary-pipe":  func() (v2i.Transport, v2i.Transport) { return v2i.NewPipePair(v2i.WireBinary) },
+		"binary-pipe":  func() (v2i.Transport, v2i.Transport) { return v2i.NewPipePair() },
 	} {
 		t.Run(name, func(t *testing.T) { testDepartingVehicleDropped(t, pair) })
 	}

@@ -12,10 +12,11 @@ import (
 	"olevgrid/internal/v2i"
 )
 
-// runWireGame runs a clean n-vehicle game over connection-backed pipe
-// pairs preset to the given wire codec and returns the coordinator's
-// report. Everything else — seeds, weights, tolerances — is held
-// fixed, so two calls differ only in the bytes on the wire.
+// runWireGame runs a clean n-vehicle game over the given wire and
+// returns the coordinator's report: WireJSON plays it on in-memory
+// channel pairs (the links serve and perfbench use), WireBinary on
+// connection-backed pipe pairs. Everything else — seeds, weights,
+// tolerances — is held fixed, so two calls differ only in the links.
 func runWireGame(t *testing.T, w v2i.Wire, n, sections int) Report {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -25,7 +26,10 @@ func runWireGame(t *testing.T, w v2i.Wire, n, sections int) Report {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("ev-%02d", i)
-		gridSide, vehSide := v2i.NewPipePair(w)
+		gridSide, vehSide := v2i.NewPair(64)
+		if w == v2i.WireBinary {
+			gridSide, vehSide = v2i.NewPipePair()
+		}
 		links[id] = gridSide
 		agent, err := NewAgent(AgentConfig{
 			VehicleID:    id,
@@ -70,8 +74,9 @@ func runWireGame(t *testing.T, w v2i.Wire, n, sections int) Report {
 }
 
 // TestWireWelfareBitEquality is the cross-codec determinism gate: the
-// same game played over the JSON wire (unicast quotes) and the binary
-// wire (coalesced QuoteBatch frames, own rows elided once acknowledged)
+// same game played over in-memory links (JSON-body envelopes, unicast
+// quotes) and over binary connections (coalesced QuoteBatch frames,
+// own rows elided once acknowledged)
 // must land on the same equilibrium to the last bit — welfare, rounds,
 // every request, and every schedule row. This holds because both wires
 // transmit exact float64 bits and both sides derive the background load

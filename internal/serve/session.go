@@ -197,13 +197,12 @@ func chaosFor(spec SessionSpec, i int) v2i.FaultConfig {
 
 // launchVehicle wires one agent over an in-memory pair and starts its
 // Run goroutine, returning the grid-side transport. A "binary" wire
-// spec swaps the channel pair for a connection-backed pipe pair preset
-// to the binary codec, so the session exercises the same frames a
-// binary TCP deployment would.
+// spec swaps the channel pair for a connection-backed pipe pair, so the
+// session exercises the same binary frames a TCP deployment does.
 func (f *fleet) launchVehicle(ctx context.Context, spec SessionSpec, id string, i int) (v2i.Transport, error) {
 	var gridSide, vehicleSide v2i.Transport
 	if spec.Wire == "binary" {
-		gridSide, vehicleSide = v2i.NewPipePair(v2i.WireBinary)
+		gridSide, vehicleSide = v2i.NewPipePair()
 		f.raw = append(f.raw, vehicleSide)
 	} else {
 		gridSide, vehicleSide = v2i.NewPair(64)

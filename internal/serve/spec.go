@@ -108,14 +108,13 @@ type SessionSpec struct {
 	JoinAtRound  int `json:"join_at_round,omitempty"`
 	LeaveAtRound int `json:"leave_at_round,omitempty"`
 
-	// Wire selects the V2I codec for the session's links. "" or "json"
-	// (the default) carries JSON message bodies: a session's
-	// in-process links pass the envelopes over channels, and only TCP
-	// links frame them as newline-delimited JSON. "binary" is the
-	// length-prefixed binary codec with coalesced QuoteBatch quotes,
-	// over a connection-backed pipe. Both codecs carry exact float64
-	// bits, so the equilibrium is identical either way; binary trades
-	// human-readable frames for zero-allocation encode/decode.
+	// Wire selects the links of the session's fleet. "" or "json" (the
+	// default) passes JSON-body envelopes over in-process channels.
+	// "binary" runs each vehicle over a connection-backed pipe, which
+	// carries the length-prefixed binary frames every connection
+	// speaks, with coalesced QuoteBatch quotes. Both carry exact
+	// float64 bits, so the equilibrium is identical either way; binary
+	// trades human-readable bodies for zero-allocation encode/decode.
 	Wire string `json:"wire,omitempty"`
 
 	// Outages scripts charging-section failures and restorations by

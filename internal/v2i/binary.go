@@ -26,6 +26,7 @@ package v2i
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 )
 
@@ -474,8 +475,15 @@ func (r *binReader) bools(dst []bool) []bool {
 type FrameDecoder struct {
 	scratch []byte
 	lenb    [binLenPrefix]byte
-	names   [8]string
-	nNames  int
+	// have counts the bytes of the current frame, length prefix
+	// included, that readFrom has consumed so far.
+	have int
+	// unframed latches a length prefix out of bounds: the stream
+	// position no longer falls on a frame boundary, so every later
+	// readFrom fails with it instead of misreading payload as a prefix.
+	unframed error
+	names    [8]string
+	nNames   int
 }
 
 // intern returns a string equal to b, reusing a previously decoded
@@ -503,6 +511,46 @@ func (d *FrameDecoder) grow(n int) []byte {
 	}
 	d.scratch = d.scratch[:n]
 	return d.scratch
+}
+
+// readFrom reads the rest of one frame from r into d's scratch buffer,
+// resuming wherever an earlier call stopped: an error mid-frame (a
+// read deadline, typically) keeps the bytes read so far, so the next
+// call completes the same frame instead of reading its tail as a new
+// length prefix. n is the number of bytes this call consumed. A length
+// prefix out of bounds is rejected before any payload buffer is sized;
+// the stream is then no longer framed, and the rejection sticks.
+func (d *FrameDecoder) readFrom(r io.Reader) (n int, err error) {
+	if d.unframed != nil {
+		return 0, d.unframed
+	}
+	if d.have < binLenPrefix {
+		m, err := io.ReadFull(r, d.lenb[d.have:])
+		n += m
+		d.have += m
+		if err != nil {
+			return n, fmt.Errorf("v2i: read: %w", err)
+		}
+		b := &d.lenb
+		size := int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
+		if size >= MaxFrameBytes {
+			d.unframed = fmt.Errorf("v2i: read %d bytes: %w", size, ErrFrameTooLarge)
+			return n, d.unframed
+		}
+		if size < binMinPayload {
+			d.unframed = fmt.Errorf("v2i: binary payload of %d bytes: truncated header", size)
+			return n, d.unframed
+		}
+		d.grow(size)
+	}
+	m, err := io.ReadFull(r, d.scratch[d.have-binLenPrefix:])
+	n += m
+	d.have += m
+	if err != nil {
+		return n, fmt.Errorf("v2i: read: %w", err)
+	}
+	d.have = 0
+	return n, nil
 }
 
 // Decode parses one complete binary frame — length prefix included,

@@ -2,7 +2,9 @@ package v2i
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,14 +21,28 @@ func binarySeed(f *testing.F, typ MessageType, body any) []byte {
 	return frame
 }
 
+// boundaryFrame builds a binary hello frame whose payload is exactly
+// size bytes, padding a JSON-codec body; unlike EncodeBinaryFrame it
+// does not refuse sizes at or over MaxFrameBytes.
+func boundaryFrame(size int) []byte {
+	frame, err := EncodeBinaryFrame(nil, Envelope{Type: TypeHello, From: "grid", Seq: 1})
+	if err != nil {
+		panic(err)
+	}
+	frame = append(frame, bytes.Repeat([]byte{'a'}, size-(len(frame)-binLenPrefix))...)
+	binary.LittleEndian.PutUint32(frame, uint32(size))
+	return frame
+}
+
 // FuzzDecodeBinaryFrame drives the binary frame decoder with encoded
 // frames of every protocol type, truncated/corrupted variants,
-// length-prefix boundary cases, and raw JSON frames (the cross-codec
-// case). Invariants: the decoder never panics; an accepted frame
-// re-encodes byte-identically from its parsed Envelope; and an
-// accepted typed-binary body that Opens cleanly re-encodes to the
-// exact same frame through the typed path — the codec is bijective on
-// everything it accepts.
+// length-prefix boundary cases, frames straddling MaxFrameBytes, and
+// raw JSON frames (the cross-codec case). Invariants: the decoder
+// never panics; a payload of MaxFrameBytes or more is always
+// ErrFrameTooLarge; an accepted frame re-encodes byte-identically from
+// its parsed Envelope; and an accepted typed-binary body that Opens
+// cleanly re-encodes to the exact same frame through the typed path —
+// the codec is bijective on everything it accepts.
 func FuzzDecodeBinaryFrame(f *testing.F) {
 	for _, tc := range []struct {
 		typ  MessageType
@@ -77,9 +93,19 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 	f.Add(append([]byte{255, 255, 255, 255}, quote...))     // absurd length prefix
 	f.Add([]byte(`{"type":"hello","from":"olev-01","seq":1}` + "\n"))
 
+	// MaxFrameBytes boundaries: one byte under (accepted), exactly at
+	// (rejected), and over (rejected).
+	f.Add(boundaryFrame(MaxFrameBytes - 1))
+	f.Add(boundaryFrame(MaxFrameBytes))
+	f.Add(boundaryFrame(MaxFrameBytes + 17))
+
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		var dec FrameDecoder
 		got, err := dec.Decode(bytes.Clone(frame))
+		if n := len(frame) - binLenPrefix; n >= MaxFrameBytes && int(binary.LittleEndian.Uint32(frame)) == n &&
+			!errors.Is(err, ErrFrameTooLarge) {
+			t.Fatalf("payload of %d bytes decoded without ErrFrameTooLarge (err=%v)", n, err)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
@@ -134,11 +160,12 @@ func newBodyFor(typ MessageType) any {
 }
 
 // FuzzWireEquivalence builds a Quote, a Request, and a ScheduleMsg
-// from fuzzed inputs and pushes each through both codecs end to end:
-// JSON (Seal → frame → DecodeFrame → Open) and binary
-// (AppendBinaryFrame → DecodeBinaryFrame → Open). The decoded structs
-// must match field for field — the two wires are interchangeable
-// representations of the same protocol.
+// from fuzzed inputs and pushes each through both wires end to end:
+// what an in-memory link carries (Seal → Open of the JSON-body
+// Envelope) and what a connection carries (AppendBinaryFrame →
+// DecodeBinaryFrame → Open). The decoded structs must match field for
+// field — the two wires are interchangeable representations of the
+// same protocol.
 func FuzzWireEquivalence(f *testing.F) {
 	f.Add("grid", "ev-001", uint64(7), int64(42), 3, uint64(9), []byte{1, 2, 3, 200})
 	f.Add("", "", uint64(0), int64(0), 0, uint64(0), []byte{})
@@ -166,20 +193,9 @@ func FuzzWireEquivalence(f *testing.F) {
 
 		check := func(typ MessageType, body, outJSON, outBin any) {
 			t.Helper()
-			env, err := Seal(typ, from, seq, body)
+			jenv, err := Seal(typ, from, seq, body)
 			if err != nil {
 				t.Fatalf("seal %s: %v", typ, err)
-			}
-			jframe, err := jsonFrame(env)
-			if err != nil {
-				t.Fatalf("marshal %s: %v", typ, err)
-			}
-			jenv, err := DecodeFrame(jframe)
-			if err != nil {
-				if len(jframe)-1 >= MaxFrameBytes {
-					return
-				}
-				t.Fatalf("json decode %s: %v", typ, err)
 			}
 			if err := Open(jenv, typ, outJSON); err != nil {
 				t.Fatalf("json open %s: %v", typ, err)

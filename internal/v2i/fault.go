@@ -143,8 +143,8 @@ func (f *Faulty) Recv(ctx context.Context) (Envelope, error) {
 // does NOT implement TypedSender: every send must pass through Send
 // so the fault plan (drop/dup/reorder/partition) applies identically
 // on every codec — SendMsg through a Faulty falls back to Seal+Send,
-// and the sealed JSON body rides inside a binary frame when the
-// connection negotiated one.
+// and over a connection the sealed JSON body rides inside a binary
+// frame.
 func (f *Faulty) Unwrap() Transport { return f.inner }
 
 // Close implements Transport. A frame still held by a pending reorder

@@ -9,10 +9,10 @@ import (
 // TransportMetrics counts frames crossing an instrumented transport,
 // split by direction and message type. Counters are per-type so the
 // exposition shows the protocol mix (quotes vs requests vs control
-// frames); errors are lumped per direction. Frames and bytes are also
-// counted per wire codec when the underlying connection exposes one,
-// so a mixed fleet shows exactly how much traffic negotiated down to
-// JSON. Nil is the off switch.
+// frames); errors are lumped per direction. Frames and bytes that
+// cross a connection are also counted under the binary codec label;
+// in-memory links carry no bytes and leave those counters alone. Nil
+// is the off switch.
 type TransportMetrics struct {
 	sent      map[MessageType]*obs.Counter
 	received  map[MessageType]*obs.Counter
@@ -94,10 +94,9 @@ func (m *TransportMetrics) BytesOnWire(w Wire) uint64 {
 	return m.bytesByCodec[w].Value()
 }
 
-// wireStats is the codec/byte accounting surface a connection-backed
+// wireStats is the byte accounting surface a connection-backed
 // transport exposes for per-codec metrics.
 type wireStats interface {
-	Wire() Wire
 	BytesSent() uint64
 	BytesReceived() uint64
 }
@@ -148,20 +147,16 @@ func NewInstrumented(t Transport, m *TransportMetrics) *Instrumented {
 func (i *Instrumented) Unwrap() Transport { return i.inner }
 
 // countSentWire attributes one successful send to the connection's
-// negotiated codec.
+// binary codec.
 func (i *Instrumented) countSentWire() {
 	if i.ws == nil {
-		return
-	}
-	w := i.ws.Wire()
-	if int(w) >= len(i.m.framesByCodec) {
 		return
 	}
 	s := i.ws.BytesSent()
 	d := s - i.prevSent
 	i.prevSent = s
-	i.m.framesByCodec[w].Inc()
-	i.m.bytesByCodec[w].Add(int64(d))
+	i.m.framesByCodec[WireBinary].Inc()
+	i.m.bytesByCodec[WireBinary].Add(int64(d))
 }
 
 // countRecvWire is the receive-side counterpart of countSentWire.
@@ -169,15 +164,11 @@ func (i *Instrumented) countRecvWire() {
 	if i.ws == nil {
 		return
 	}
-	w := i.ws.Wire()
-	if int(w) >= len(i.m.framesByCodec) {
-		return
-	}
 	s := i.ws.BytesReceived()
 	d := s - i.prevRecv
 	i.prevRecv = s
-	i.m.framesByCodec[w].Inc()
-	i.m.bytesByCodec[w].Add(int64(d))
+	i.m.framesByCodec[WireBinary].Inc()
+	i.m.bytesByCodec[WireBinary].Add(int64(d))
 }
 
 // Send implements Transport.

@@ -1,10 +1,11 @@
 // Package v2i implements the vehicle-to-infrastructure messaging the
-// paper's decentralized framework rides on: typed messages with a
-// JSON wire encoding, an in-memory transport for simulation, a TCP
-// transport standing in for the paper's IEEE 802.11p / LTE links, and
-// a fault-injecting wrapper for failure testing.
+// paper's decentralized framework rides on: typed messages, an
+// in-memory transport for simulation that carries them as JSON-body
+// Envelopes, a TCP transport standing in for the paper's IEEE 802.11p
+// / LTE links that carries them as binary frames (binary.go), and a
+// fault-injecting wrapper for failure testing.
 //
-// Message bodies are JSON as encoding/json writes them. The three
+// Sealed message bodies are JSON as encoding/json writes them. The three
 // bodies of every best-response exchange — Quote, Request and
 // ScheduleMsg — are encoded and decoded without reflection (jsonbody.go), byte for byte and field for field the same
 // as encoding/json, which still handles every other body and every

@@ -2,12 +2,9 @@ package v2i
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -17,15 +14,17 @@ import (
 // ErrClosed is returned by operations on a closed transport.
 var ErrClosed = errors.New("v2i: transport closed")
 
-// MaxFrameBytes bounds one newline-delimited TCP frame. A peer that
-// streams an unbounded line would otherwise grow the read buffer
-// without limit; frames at or above this size are rejected on both
-// the send and receive side.
+// MaxFrameBytes bounds one binary frame's payload (the bytes after its
+// length prefix). A peer announcing a larger frame would otherwise
+// make the receiver allocate whatever it claims; frames at or above
+// this size are rejected on both the send and receive side, before
+// any payload buffer is sized.
 const MaxFrameBytes = 256 << 10
 
 // ErrFrameTooLarge is returned when a frame exceeds MaxFrameBytes.
-// After a receive-side rejection the stream is no longer framed and
-// the connection should be closed.
+// After a receive-side rejection the stream is no longer framed: every
+// later Recv on the transport fails with the same error, and the
+// connection should be closed.
 var ErrFrameTooLarge = errors.New("v2i: frame exceeds MaxFrameBytes")
 
 // Transport is a bidirectional, ordered message channel between one
@@ -109,28 +108,6 @@ func (t *chanTransport) Close() error {
 	return nil
 }
 
-// DecodeFrame parses one newline-delimited wire frame into an
-// Envelope. It is the receive-side counterpart of Send's marshalling
-// and enforces the MaxFrameBytes bound independently of the bufio
-// reader sizing, so every consumer of raw frames (the TCP transport,
-// tests, the fuzz target, future transports) shares one validation
-// path. A single trailing newline is permitted but not required; the
-// size bound applies to the payload without it, mirroring Send.
-func DecodeFrame(line []byte) (Envelope, error) {
-	payload := line
-	if n := len(payload); n > 0 && payload[n-1] == '\n' {
-		payload = payload[:n-1]
-	}
-	if len(payload) >= MaxFrameBytes {
-		return Envelope{}, fmt.Errorf("v2i: decode %d bytes: %w", len(payload), ErrFrameTooLarge)
-	}
-	var env Envelope
-	if err := json.Unmarshal(payload, &env); err != nil {
-		return Envelope{}, fmt.Errorf("v2i: decode envelope: %w", err)
-	}
-	return env, nil
-}
-
 // Timeouts bounds a connection-backed transport's blocking operations
 // when the caller's context carries no deadline of its own. They are
 // the control plane's guard against a hung peer: a coordinator round
@@ -154,66 +131,36 @@ func DefaultTimeouts() Timeouts {
 	return Timeouts{Dial: 5 * time.Second, Read: 10 * time.Second, Write: 5 * time.Second}
 }
 
-// wireRole is a connection-backed transport's part in the codec
-// negotiation (DESIGN.md §14).
-type wireRole uint8
-
-const (
-	// roleLegacy never negotiates: the connection speaks JSON from the
-	// first byte, exactly as before the binary codec existed.
-	roleLegacy wireRole = iota
-	// roleDialer wrote (or will rely on having written) the preamble
-	// at dial time and resolves the codec from the listener's reply.
-	roleDialer
-	// roleAccepter sniffs the first byte from the peer: a preamble is
-	// answered with the listener's choice, a '{' means a JSON dialer
-	// and gets no reply at all.
-	roleAccepter
-)
-
 // connReaderBytes sizes the per-connection read buffer. Frames longer
-// than the buffer are still accepted up to MaxFrameBytes — the JSON
-// receive path grows a per-transport line buffer and the binary path
+// than the buffer are still accepted up to MaxFrameBytes — the payload
 // reads into the decoder's scratch — so this is a working-set knob,
-// not a protocol bound: 32 KiB per connection instead of the former
-// MaxFrameBytes-sized reader keeps thousand-vehicle fleets cheap.
+// not a protocol bound: 32 KiB per connection keeps thousand-vehicle
+// fleets cheap.
 const connReaderBytes = 32 << 10
 
 // pipeReaderBytes sizes readers over in-memory pipes, where there is
 // no syscall to amortize.
 const pipeReaderBytes = 4 << 10
 
-// tcpTransport frames envelopes over a net.Conn: newline-delimited
-// JSON, or the length-prefixed binary codec once negotiated.
+// tcpTransport frames envelopes over a net.Conn with the
+// length-prefixed binary codec, from the first byte in each direction.
 type tcpTransport struct {
 	conn net.Conn
 	r    *bufio.Reader
 	to   Timeouts
 
-	// Codec negotiation: role/maxWire are fixed at construction;
-	// wire/lateSniff/negoErr are written once under negoMu before
-	// negoDone is set, which publishes them to the lock-free readers.
-	role      wireRole
-	maxWire   Wire
-	negoMu    sync.Mutex
-	negoDone  atomic.Bool
-	negoErr   error
-	wire      Wire
-	lateSniff bool
-
-	// Send-side scratch, all guarded by sendMu: ebuf backs binary
-	// frame encoding, jbuf/jenc back the pooled JSON encoder.
+	// Send-side state, guarded by sendMu: ebuf backs frame encoding,
+	// tail holds the unsent rest of a frame whose write was cut short
+	// (a deadline fired mid-frame). The tail goes out ahead of the next
+	// frame so the peer's length prefixes stay aligned.
 	sendMu sync.Mutex
 	ebuf   []byte
-	jbuf   bytes.Buffer
-	jenc   *json.Encoder
+	tail   []byte
 
-	// Recv-side scratch, guarded by recvMu: dec holds the binary
-	// decoder state, lineBuf accumulates JSON frames longer than the
-	// fixed reader.
-	recvMu  sync.Mutex
-	dec     FrameDecoder
-	lineBuf []byte
+	// Recv-side state, guarded by recvMu: dec holds the binary decoder
+	// state, including its progress through a partly read frame.
+	recvMu sync.Mutex
+	dec    FrameDecoder
 
 	bytesSent atomic.Uint64
 	bytesRecv atomic.Uint64
@@ -227,90 +174,47 @@ var (
 	_ TypedSender = (*tcpTransport)(nil)
 )
 
-func newConnTransport(conn net.Conn, to Timeouts) *tcpTransport {
-	return &tcpTransport{conn: conn, r: bufio.NewReaderSize(conn, connReaderBytes), to: to}
+func newConnTransport(conn net.Conn, to Timeouts, readerBytes int) *tcpTransport {
+	return &tcpTransport{conn: conn, r: bufio.NewReaderSize(conn, readerBytes), to: to}
 }
 
-// NewConnTransport wraps an established connection. It speaks JSON
-// unconditionally — no preamble is sent or expected — which keeps it
-// byte-compatible with every pre-binary peer; codec negotiation is
-// opted into via DialWire / Server.Wire.
+// NewConnTransport wraps an established connection in the binary
+// framing.
 func NewConnTransport(conn net.Conn) Transport {
-	t := newConnTransport(conn, Timeouts{})
-	t.negoDone.Store(true)
-	return t
+	return newConnTransport(conn, Timeouts{}, connReaderBytes)
 }
 
 // NewConnTransportTimeouts wraps an established connection with
 // default read/write deadlines applied whenever the caller's context
 // carries none.
 func NewConnTransportTimeouts(conn net.Conn, to Timeouts) Transport {
-	t := newConnTransport(conn, to)
-	t.negoDone.Store(true)
-	return t
+	return newConnTransport(conn, to, connReaderBytes)
 }
 
-// Dial connects to a listening smart grid, speaking JSON.
+// Dial connects to a listening smart grid.
 func Dial(ctx context.Context, addr string) (Transport, error) {
-	return DialWireTimeouts(ctx, addr, WireJSON, Timeouts{})
+	return DialTimeouts(ctx, addr, Timeouts{})
 }
 
 // DialTimeouts connects with a bounded dial and arms the returned
 // transport with default read/write deadlines (see Timeouts).
 func DialTimeouts(ctx context.Context, addr string, to Timeouts) (Transport, error) {
-	return DialWireTimeouts(ctx, addr, WireJSON, to)
-}
-
-// DialWire connects offering the given codec; see DialWireTimeouts.
-func DialWire(ctx context.Context, addr string, w Wire) (Transport, error) {
-	return DialWireTimeouts(ctx, addr, w, Timeouts{})
-}
-
-// DialWireTimeouts connects and, when w is WireBinary, writes the
-// negotiation preamble eagerly so it rides ahead of the first frame.
-// The codec actually used is resolved lazily from the listener's
-// reply on the first Send or Recv: a listener that never answers with
-// a preamble (it predates the binary codec, or declined) settles the
-// connection on JSON without error.
-func DialWireTimeouts(ctx context.Context, addr string, w Wire, to Timeouts) (Transport, error) {
 	d := net.Dialer{Timeout: to.Dial}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("v2i: dial %s: %w", addr, err)
 	}
-	t := newConnTransport(conn, to)
-	if w != WireBinary {
-		t.negoDone.Store(true)
-		return t, nil
-	}
-	t.role = roleDialer
-	t.maxWire = w
-	if err := t.conn.SetWriteDeadline(deadlineFor(ctx, t.to.Write)); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("v2i: set write deadline: %w", err)
-	}
-	if _, err := conn.Write([]byte{wireMagic0, wireMagic1, wireMagic2, wireMagic3, wireVersionBinary1}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("v2i: write preamble: %w", err)
-	}
-	return t, nil
+	return newConnTransport(conn, to, connReaderBytes), nil
 }
 
 // NewPipePair returns two connected transports over an in-memory
-// net.Pipe, both preset to the given codec with no negotiation
-// round. Unlike NewPair — which moves Envelope values through a
+// net.Pipe. Unlike NewPair — which moves Envelope values through a
 // channel — frames here really encode and decode, so in-process
 // fleets exercise the same codec hot path as TCP deployments without
 // consuming file descriptors.
-func NewPipePair(w Wire) (Transport, Transport) {
+func NewPipePair() (Transport, Transport) {
 	ca, cb := net.Pipe()
-	return newPresetConn(ca, w), newPresetConn(cb, w)
-}
-
-func newPresetConn(conn net.Conn, w Wire) *tcpTransport {
-	t := &tcpTransport{conn: conn, r: bufio.NewReaderSize(conn, pipeReaderBytes), wire: w}
-	t.negoDone.Store(true)
-	return t
+	return newConnTransport(ca, Timeouts{}, pipeReaderBytes), newConnTransport(cb, Timeouts{}, pipeReaderBytes)
 }
 
 // deadlineFor resolves the effective deadline of one operation: the
@@ -330,163 +234,35 @@ func deadlineFor(ctx context.Context, fallback time.Duration) time.Time {
 	return dl
 }
 
-// isTimeoutErr reports whether err is a deadline expiry — the one
-// negotiation failure that must stay retryable, because nothing has
-// been consumed from the stream yet.
-func isTimeoutErr(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// negotiate resolves the connection's codec exactly once. The
-// lock-free fast path makes it free after the first frame. Timeouts
-// while the stream is still untouched do not latch, so a slow peer's
-// preamble can be awaited again on the caller's retry.
-func (t *tcpTransport) negotiate(ctx context.Context, recvSide bool) error {
-	if t.negoDone.Load() {
-		return t.negoErr
-	}
-	t.negoMu.Lock()
-	defer t.negoMu.Unlock()
-	if t.negoDone.Load() {
-		return t.negoErr
-	}
-	latch, err := t.doNegotiate(ctx, recvSide)
-	if latch {
-		t.negoErr = err
-		t.negoDone.Store(true)
-	}
-	return err
-}
-
-// doNegotiate runs the role's half of the preamble exchange. latch
-// reports whether the outcome (success or failure) is final; Peek is
-// used throughout so an aborted attempt leaves the stream intact.
-func (t *tcpTransport) doNegotiate(ctx context.Context, recvSide bool) (latch bool, _ error) {
-	switch t.role {
-	case roleDialer:
-		// Await the listener's verdict: its preamble reply, or the '{'
-		// of a JSON frame from a listener that predates the preamble
-		// and simply started talking.
-		if err := t.conn.SetReadDeadline(deadlineFor(ctx, t.to.Read)); err != nil {
-			return true, fmt.Errorf("v2i: set read deadline: %w", err)
-		}
-		b, err := t.r.Peek(1)
-		if err != nil {
-			return !isTimeoutErr(err), fmt.Errorf("v2i: read preamble reply: %w", err)
-		}
-		if b[0] != wireMagic0 {
-			t.wire = WireJSON
-			return true, nil
-		}
-		rep, err := t.r.Peek(wirePreambleLen)
-		if err != nil {
-			return !isTimeoutErr(err), fmt.Errorf("v2i: read preamble reply: %w", err)
-		}
-		if rep[1] != wireMagic1 || rep[2] != wireMagic2 || rep[3] != wireMagic3 {
-			return true, fmt.Errorf("v2i: bad preamble reply magic %q", rep[:4])
-		}
-		if rep[4] >= wireVersionBinary1 && t.maxWire >= WireBinary {
-			t.wire = WireBinary
-		} else {
-			t.wire = WireJSON
-		}
-		t.r.Discard(wirePreambleLen)
-		return true, nil
-	case roleAccepter:
-		if !recvSide {
-			// Sending before anything was received: sniffing would
-			// block on a peer that may be waiting for us. Speak JSON —
-			// the dialer infers JSON from our '{' first byte — and let
-			// the first Recv swallow a late preamble silently.
-			t.wire = WireJSON
-			t.lateSniff = true
-			return true, nil
-		}
-		if err := t.conn.SetReadDeadline(deadlineFor(ctx, t.to.Read)); err != nil {
-			return true, fmt.Errorf("v2i: set read deadline: %w", err)
-		}
-		b, err := t.r.Peek(1)
-		if err != nil {
-			return !isTimeoutErr(err), fmt.Errorf("v2i: sniff preamble: %w", err)
-		}
-		if b[0] != wireMagic0 {
-			// A JSON dialer sends no preamble and expects no reply.
-			t.wire = WireJSON
-			return true, nil
-		}
-		pre, err := t.r.Peek(wirePreambleLen)
-		if err != nil {
-			return !isTimeoutErr(err), fmt.Errorf("v2i: sniff preamble: %w", err)
-		}
-		if pre[1] != wireMagic1 || pre[2] != wireMagic2 || pre[3] != wireMagic3 {
-			return true, fmt.Errorf("v2i: bad preamble magic %q", pre[:4])
-		}
-		chosen := byte(wireVersionJSON)
-		if pre[4] >= wireVersionBinary1 && t.maxWire >= WireBinary {
-			chosen = wireVersionBinary1
-		}
-		t.r.Discard(wirePreambleLen)
-		if err := t.conn.SetWriteDeadline(deadlineFor(ctx, t.to.Write)); err != nil {
-			return true, fmt.Errorf("v2i: set write deadline: %w", err)
-		}
-		if _, err := t.conn.Write([]byte{wireMagic0, wireMagic1, wireMagic2, wireMagic3, chosen}); err != nil {
-			return true, fmt.Errorf("v2i: write preamble reply: %w", err)
-		}
-		if chosen >= wireVersionBinary1 {
-			t.wire = WireBinary
-		} else {
-			t.wire = WireJSON
-		}
-		return true, nil
-	default:
-		t.wire = WireJSON
-		return true, nil
-	}
-}
-
-// Wire reports the codec the connection negotiated; WireJSON until
-// negotiation completes (the conservative answer — see WireOf).
-func (t *tcpTransport) Wire() Wire {
-	if !t.negoDone.Load() {
-		return WireJSON
-	}
-	return t.wire
-}
-
-// BytesSent reports cumulative frame bytes written (length prefixes
-// and newline delimiters included, negotiation preambles excluded).
+// BytesSent reports cumulative frame bytes written, length prefixes
+// included.
 func (t *tcpTransport) BytesSent() uint64 { return t.bytesSent.Load() }
 
 // BytesReceived is the receive-side counterpart of BytesSent.
 func (t *tcpTransport) BytesReceived() uint64 { return t.bytesRecv.Load() }
 
+// writeLocked writes one frame, first finishing any frame an earlier
+// write left half sent. A write that fails after putting part of the
+// frame on the wire keeps the rest as the tail: dropping it would
+// leave the peer reading the next frame's bytes as this one's payload.
 func (t *tcpTransport) writeLocked(frame []byte) error {
-	if _, err := t.conn.Write(frame); err != nil {
+	if len(t.tail) > 0 {
+		n, err := t.conn.Write(t.tail)
+		t.bytesSent.Add(uint64(n))
+		t.tail = t.tail[n:]
+		if err != nil {
+			return fmt.Errorf("v2i: write: %w", err)
+		}
+	}
+	n, err := t.conn.Write(frame)
+	t.bytesSent.Add(uint64(n))
+	if err != nil {
+		if n > 0 && n < len(frame) {
+			t.tail = append(t.tail[:0], frame[n:]...)
+		}
 		return fmt.Errorf("v2i: write: %w", err)
 	}
-	t.bytesSent.Add(uint64(len(frame)))
 	return nil
-}
-
-// sendJSONLocked marshals through a per-transport json.Encoder into a
-// reused buffer — the Encoder's trailing newline is exactly the frame
-// delimiter, and its output bytes are identical to json.Marshal's —
-// so the steady state reuses one buffer instead of allocating a fresh
-// marshal result per frame.
-func (t *tcpTransport) sendJSONLocked(env Envelope) error {
-	if t.jenc == nil {
-		t.jenc = json.NewEncoder(&t.jbuf)
-	}
-	t.jbuf.Reset()
-	if err := t.jenc.Encode(env); err != nil {
-		return fmt.Errorf("v2i: marshal envelope: %w", err)
-	}
-	raw := t.jbuf.Bytes()
-	if len(raw)-1 >= MaxFrameBytes {
-		return fmt.Errorf("v2i: send %d bytes: %w", len(raw)-1, ErrFrameTooLarge)
-	}
-	return t.writeLocked(raw)
 }
 
 // Send implements Transport. The effective write deadline is the
@@ -497,144 +273,57 @@ func (t *tcpTransport) Send(ctx context.Context, env Envelope) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := t.negotiate(ctx, false); err != nil {
-		return fmt.Errorf("v2i: negotiate: %w", err)
-	}
 	if err := t.conn.SetWriteDeadline(deadlineFor(ctx, t.to.Write)); err != nil {
 		return fmt.Errorf("v2i: set write deadline: %w", err)
 	}
-	if t.wire == WireBinary {
-		buf, err := EncodeBinaryFrame(t.ebuf[:0], env)
-		if err != nil {
-			return err
-		}
-		t.ebuf = buf[:0]
-		return t.writeLocked(buf)
+	buf, err := EncodeBinaryFrame(t.ebuf[:0], env)
+	if err != nil {
+		return err
 	}
-	return t.sendJSONLocked(env)
+	t.ebuf = buf[:0]
+	return t.writeLocked(buf)
 }
 
-// SendTyped implements TypedSender: on a binary connection the body
-// encodes straight into the reused frame buffer with zero
-// allocations; on a JSON connection it is Seal + the pooled JSON
-// path, byte-identical to Send.
+// SendTyped implements TypedSender: the body encodes straight into the
+// reused frame buffer with zero allocations.
 func (t *tcpTransport) SendTyped(ctx context.Context, typ MessageType, from string, seq uint64, body any) error {
 	t.sendMu.Lock()
 	defer t.sendMu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if err := t.negotiate(ctx, false); err != nil {
-		return fmt.Errorf("v2i: negotiate: %w", err)
-	}
 	if err := t.conn.SetWriteDeadline(deadlineFor(ctx, t.to.Write)); err != nil {
 		return fmt.Errorf("v2i: set write deadline: %w", err)
 	}
-	if t.wire == WireBinary {
-		buf, err := AppendBinaryFrame(t.ebuf[:0], typ, from, seq, body)
-		if err != nil {
-			return err
-		}
-		t.ebuf = buf[:0]
-		return t.writeLocked(buf)
-	}
-	env, err := Seal(typ, from, seq, body)
+	buf, err := AppendBinaryFrame(t.ebuf[:0], typ, from, seq, body)
 	if err != nil {
 		return err
 	}
-	return t.sendJSONLocked(env)
-}
-
-// recvJSONLocked reads one newline-delimited frame. Frames longer
-// than the fixed reader accumulate into the transport's line buffer
-// up to MaxFrameBytes, preserving the former big-reader semantics at
-// a fraction of the per-connection footprint.
-func (t *tcpTransport) recvJSONLocked() (Envelope, error) {
-	if t.lateSniff {
-		// We spoke first on an accepted connection; a binary dialer's
-		// preamble may still be queued ahead of its JSON frames.
-		// Swallow it silently — no reply, the dialer already inferred
-		// JSON from our '{' first byte.
-		b, err := t.r.Peek(1)
-		if err != nil {
-			return Envelope{}, fmt.Errorf("v2i: read: %w", err)
-		}
-		if b[0] == wireMagic0 {
-			if _, err := t.r.Peek(wirePreambleLen); err != nil {
-				return Envelope{}, fmt.Errorf("v2i: read: %w", err)
-			}
-			t.r.Discard(wirePreambleLen)
-		}
-		t.lateSniff = false
-	}
-	line, err := t.r.ReadSlice('\n')
-	if err == nil {
-		t.bytesRecv.Add(uint64(len(line)))
-		return DecodeFrame(line)
-	}
-	if !errors.Is(err, bufio.ErrBufferFull) {
-		return Envelope{}, fmt.Errorf("v2i: read: %w", err)
-	}
-	t.lineBuf = append(t.lineBuf[:0], line...)
-	for {
-		if len(t.lineBuf) >= MaxFrameBytes {
-			return Envelope{}, fmt.Errorf("v2i: read: %w", ErrFrameTooLarge)
-		}
-		line, err = t.r.ReadSlice('\n')
-		t.lineBuf = append(t.lineBuf, line...)
-		if err == nil {
-			t.bytesRecv.Add(uint64(len(t.lineBuf)))
-			return DecodeFrame(t.lineBuf)
-		}
-		if !errors.Is(err, bufio.ErrBufferFull) {
-			return Envelope{}, fmt.Errorf("v2i: read: %w", err)
-		}
-	}
-}
-
-// recvBinaryLocked reads one length-prefixed frame into the decoder's
-// scratch buffer. The returned Envelope aliases that buffer and is
-// valid until the next Recv — the Transport contract.
-func (t *tcpTransport) recvBinaryLocked() (Envelope, error) {
-	if _, err := io.ReadFull(t.r, t.dec.lenb[:]); err != nil {
-		return Envelope{}, fmt.Errorf("v2i: read: %w", err)
-	}
-	b := &t.dec.lenb
-	n := int(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
-	if n >= MaxFrameBytes {
-		return Envelope{}, fmt.Errorf("v2i: read %d bytes: %w", n, ErrFrameTooLarge)
-	}
-	if n < binMinPayload {
-		return Envelope{}, fmt.Errorf("v2i: binary payload of %d bytes: truncated header", n)
-	}
-	buf := t.dec.grow(n)
-	if _, err := io.ReadFull(t.r, buf); err != nil {
-		return Envelope{}, fmt.Errorf("v2i: read: %w", err)
-	}
-	t.bytesRecv.Add(uint64(binLenPrefix + n))
-	return t.dec.parsePayload(buf)
+	t.ebuf = buf[:0]
+	return t.writeLocked(buf)
 }
 
 // Recv implements Transport. The effective read deadline is the
 // earlier of the context's deadline and the transport's Read timeout.
-// The returned Envelope's Body may alias per-transport receive state;
-// it is valid until the next Recv on this transport.
+// A deadline that fires mid-frame keeps the bytes read so far, and the
+// next Recv completes that frame. The returned Envelope's Body may
+// alias per-transport receive state; it is valid until the next Recv
+// on this transport.
 func (t *tcpTransport) Recv(ctx context.Context) (Envelope, error) {
 	t.recvMu.Lock()
 	defer t.recvMu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return Envelope{}, err
 	}
-	if err := t.negotiate(ctx, true); err != nil {
-		return Envelope{}, fmt.Errorf("v2i: negotiate: %w", err)
-	}
 	if err := t.conn.SetReadDeadline(deadlineFor(ctx, t.to.Read)); err != nil {
 		return Envelope{}, fmt.Errorf("v2i: set read deadline: %w", err)
 	}
-	if t.wire == WireBinary {
-		return t.recvBinaryLocked()
+	n, err := t.dec.readFrom(t.r)
+	t.bytesRecv.Add(uint64(n))
+	if err != nil {
+		return Envelope{}, err
 	}
-	return t.recvJSONLocked()
+	return t.dec.parsePayload(t.dec.scratch)
 }
 
 // Close implements Transport.
@@ -651,12 +340,6 @@ type Server struct {
 	// starts. A hung vehicle then times out instead of pinning a
 	// coordinator goroutine forever.
 	ConnTimeouts Timeouts
-
-	// Wire, when WireBinary, lets accepted connections negotiate the
-	// binary codec with dialers that offer it; everyone else stays on
-	// JSON. The zero value keeps all connections on JSON regardless of
-	// what dialers offer. Set it before the accept loop starts.
-	Wire Wire
 
 	// slots, when non-nil, is the accept-side admission semaphore:
 	// Accept takes a slot before accepting and each accepted
@@ -725,13 +408,7 @@ func (s *Server) Accept() (Transport, error) {
 			}
 			return nil, fmt.Errorf("v2i: accept: %w", err)
 		}
-		// Every accepted connection sniffs for a dialer preamble on its
-		// first Recv — even a JSON-only server must consume a binary
-		// offer (and decline it) to stay framed.
-		ct := newConnTransport(conn, s.ConnTimeouts)
-		ct.role = roleAccepter
-		ct.maxWire = s.Wire
-		var t Transport = ct
+		var t Transport = newConnTransport(conn, s.ConnTimeouts, connReaderBytes)
 		if s.slots != nil {
 			t = &slottedTransport{Transport: t, slots: s.slots}
 		}

@@ -5,19 +5,18 @@ import (
 	"fmt"
 )
 
-// Wire identifies a frame codec for a V2I link. The zero value is
-// WireJSON — the newline-delimited JSON framing every peer speaks —
-// so an unconfigured transport, an in-memory pair, and any pre-binary
-// peer all interoperate unchanged. WireBinary is the length-prefixed
-// binary codec (DESIGN.md §14): zero steady-state allocations on both
-// encode and decode, negotiated per connection via a magic/version
-// preamble and never assumed.
+// Wire identifies the frame codec a V2I link carries. The rule has
+// no option behind it: in-memory links (NewPair) carry Envelope values
+// with JSON bodies, and every connection-backed transport (Dial,
+// Server.Accept, NewConnTransport, NewPipePair) carries length-prefixed
+// binary frames from its first byte (DESIGN.md §14). WireOf reports
+// which one a transport is.
 type Wire uint8
 
 // The wire codecs.
 const (
-	// WireJSON is newline-delimited JSON, the default and the
-	// universal fallback.
+	// WireJSON is the Envelope with a JSON body, as in-memory links
+	// carry it.
 	WireJSON Wire = iota
 	// WireBinary is the length-prefixed fixed-layout binary codec.
 	WireBinary
@@ -34,45 +33,13 @@ func (w Wire) String() string {
 	return fmt.Sprintf("wire(%d)", uint8(w))
 }
 
-// ParseWire maps a flag/spec string onto a Wire. Empty means the
-// default JSON.
-func ParseWire(s string) (Wire, error) {
-	switch s {
-	case "", "json":
-		return WireJSON, nil
-	case "binary":
-		return WireBinary, nil
-	}
-	return WireJSON, fmt.Errorf("v2i: unknown wire %q (want json or binary)", s)
-}
-
-// The negotiation preamble: a dialer that wants the binary codec
-// writes magic+version immediately after connect; the listener
-// answers magic+chosen. A JSON dialer writes no preamble at all —
-// its first byte is the '{' of a JSON frame — which is how the
-// listener tells the two apart without consuming anything it should
-// not. See the negotiation state machine in DESIGN.md §14.
-const (
-	wireMagic0 = 'O'
-	wireMagic1 = 'L'
-	wireMagic2 = 'E'
-	wireMagic3 = 'V'
-	// wirePreambleLen is magic plus one version byte.
-	wirePreambleLen = 5
-	// wireVersionJSON in a reply means "fall back to JSON".
-	wireVersionJSON = 0
-	// wireVersionBinary1 is the current binary codec version.
-	wireVersionBinary1 = 1
-)
-
 // TypedSender is implemented by transports that can encode a typed
 // message body directly onto the wire, skipping the Envelope
-// marshalling round trip. On a binary connection this is the
-// zero-allocation send path; on a JSON connection it degrades to
-// Seal+Send with identical bytes on the wire. Wrappers that must see
-// every frame as an Envelope — the fault injector in particular —
-// deliberately do not implement it, so SendMsg through them falls
-// back to the envelope path and the fault plan applies unchanged.
+// marshalling round trip: on a connection it is the zero-allocation
+// send path. Wrappers that must see every frame as an Envelope — the
+// fault injector in particular — deliberately do not implement it, so
+// SendMsg through them falls back to the envelope path and the fault
+// plan applies unchanged.
 type TypedSender interface {
 	SendTyped(ctx context.Context, typ MessageType, from string, seq uint64, body any) error
 }
@@ -100,28 +67,13 @@ type Unwrapper interface {
 	Unwrap() Transport
 }
 
-// wireNegotiated is implemented by connection-backed transports that
-// know which codec their connection settled on.
-type wireNegotiated interface {
-	Wire() Wire
-}
-
-// WireOf reports the codec a transport's underlying connection
-// negotiated, unwrapping decorators. Transports with no negotiated
-// codec (in-memory pairs, foreign implementations) and connections
-// that have not finished negotiating report WireJSON — the answer is
-// only ever used to opt into binary-only behavior, so the safe
-// default is "assume the lowest common denominator".
+// WireOf reports the codec a transport carries, unwrapping
+// decorators: WireBinary when a connection-backed transport sits at
+// the bottom of the chain, WireJSON otherwise (in-memory pairs,
+// foreign implementations).
 func WireOf(t Transport) Wire {
-	for t != nil {
-		if w, ok := t.(wireNegotiated); ok {
-			return w.Wire()
-		}
-		u, ok := t.(Unwrapper)
-		if !ok {
-			break
-		}
-		t = u.Unwrap()
+	if findWireStats(t) != nil {
+		return WireBinary
 	}
 	return WireJSON
 }

@@ -12,8 +12,8 @@ import (
 	"olevgrid/internal/obs"
 )
 
-// jsonFrame renders an envelope as its newline-delimited JSON wire
-// bytes.
+// jsonFrame renders an envelope as the newline-delimited JSON line a
+// foreign peer might write onto a connection.
 func jsonFrame(env Envelope) ([]byte, error) {
 	raw, err := json.Marshal(env)
 	if err != nil {
@@ -64,13 +64,13 @@ func testBodies() []struct {
 }
 
 // TestBinaryRoundTripAllTypes pushes every protocol message through
-// the typed binary path of a pre-negotiated pipe pair and checks the
+// the typed binary path of a pipe pair and checks the
 // decoded struct matches field for field.
 func TestBinaryRoundTripAllTypes(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for _, tc := range testBodies() {
-		a, b := NewPipePair(WireBinary)
+		a, b := NewPipePair()
 		errc := make(chan error, 1)
 		go func() { errc <- SendMsg(ctx, a, tc.typ, "grid", 42, tc.body) }()
 		env, err := b.Recv(ctx)
@@ -103,7 +103,7 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 func TestSealedEnvelopeOverBinary(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	a, b := NewPipePair(WireBinary)
+	a, b := NewPipePair()
 	defer a.Close()
 	defer b.Close()
 
@@ -127,167 +127,6 @@ func TestSealedEnvelopeOverBinary(t *testing.T) {
 	}
 	if !reflect.DeepEqual(&q, want) {
 		t.Fatalf("sealed-over-binary mismatch:\n got %+v\nwant %+v", &q, want)
-	}
-}
-
-// exchange runs one hello→quote round trip between a dialer and an
-// accepted transport and returns the codecs both sides settled on.
-func exchange(t *testing.T, dial, acc Transport) (dialWire, accWire Wire) {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	errc := make(chan error, 1)
-	go func() {
-		errc <- SendMsg(ctx, dial, TypeHello, "ev-001", 1, &Hello{VehicleID: "ev-001", MaxPowerKW: 68})
-	}()
-	env, err := acc.Recv(ctx)
-	if err != nil {
-		t.Fatalf("server recv hello: %v", err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatalf("client send hello: %v", err)
-	}
-	var h Hello
-	if err := Open(env, TypeHello, &h); err != nil {
-		t.Fatalf("open hello: %v", err)
-	}
-	if h.VehicleID != "ev-001" || h.MaxPowerKW != 68 {
-		t.Fatalf("hello mismatch: %+v", h)
-	}
-
-	go func() { errc <- SendMsg(ctx, acc, TypeQuote, "grid", 2, testQuote()) }()
-	env, err = dial.Recv(ctx)
-	if err != nil {
-		t.Fatalf("client recv quote: %v", err)
-	}
-	if err := <-errc; err != nil {
-		t.Fatalf("server send quote: %v", err)
-	}
-	var q Quote
-	if err := Open(env, TypeQuote, &q); err != nil {
-		t.Fatalf("open quote: %v", err)
-	}
-	if !reflect.DeepEqual(&q, testQuote()) {
-		t.Fatalf("quote mismatch: %+v", q)
-	}
-	return WireOf(dial), WireOf(acc)
-}
-
-// TestWireNegotiationMatrix covers all four dialer×listener codec
-// combinations over real TCP: binary only when both sides offer it,
-// JSON in every mixed pairing, and never an error.
-func TestWireNegotiationMatrix(t *testing.T) {
-	cases := []struct {
-		name       string
-		dialerWire Wire
-		serverWire Wire
-		want       Wire
-	}{
-		{"binary-binary", WireBinary, WireBinary, WireBinary},
-		{"binary-jsonServer", WireBinary, WireJSON, WireJSON},
-		{"json-binaryServer", WireJSON, WireBinary, WireJSON},
-		{"json-json", WireJSON, WireJSON, WireJSON},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			srv, err := Listen("127.0.0.1:0")
-			if err != nil {
-				t.Fatalf("listen: %v", err)
-			}
-			defer srv.Close()
-			srv.Wire = tc.serverWire
-			srv.ConnTimeouts = DefaultTimeouts()
-
-			accc := make(chan Transport, 1)
-			acce := make(chan error, 1)
-			go func() {
-				tr, err := srv.Accept()
-				accc <- tr
-				acce <- err
-			}()
-
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			dial, err := DialWireTimeouts(ctx, srv.Addr(), tc.dialerWire, DefaultTimeouts())
-			if err != nil {
-				t.Fatalf("dial: %v", err)
-			}
-			defer dial.Close()
-			acc := <-accc
-			if err := <-acce; err != nil {
-				t.Fatalf("accept: %v", err)
-			}
-			defer acc.Close()
-
-			dw, aw := exchange(t, dial, acc)
-			if dw != tc.want || aw != tc.want {
-				t.Fatalf("settled on dialer=%s server=%s, want %s", dw, aw, tc.want)
-			}
-		})
-	}
-}
-
-// TestServerSendFirstLateSniff covers the accepted side speaking
-// before it ever reads: it must settle on JSON, the binary dialer
-// must follow from the '{' first byte, and the dialer's queued
-// preamble must be swallowed by the server's first Recv.
-func TestServerSendFirstLateSniff(t *testing.T) {
-	srv, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer srv.Close()
-	srv.Wire = WireBinary
-	srv.ConnTimeouts = DefaultTimeouts()
-
-	accc := make(chan Transport, 1)
-	go func() {
-		tr, _ := srv.Accept()
-		accc <- tr
-	}()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	dial, err := DialWireTimeouts(ctx, srv.Addr(), WireBinary, DefaultTimeouts())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer dial.Close()
-	acc := <-accc
-	if acc == nil {
-		t.Fatal("accept failed")
-	}
-	defer acc.Close()
-
-	// Server sends before receiving anything.
-	if err := SendMsg(ctx, acc, TypeQuote, "grid", 1, testQuote()); err != nil {
-		t.Fatalf("server send-first: %v", err)
-	}
-	env, err := dial.Recv(ctx)
-	if err != nil {
-		t.Fatalf("client recv: %v", err)
-	}
-	var q Quote
-	if err := Open(env, TypeQuote, &q); err != nil {
-		t.Fatalf("open quote: %v", err)
-	}
-
-	// Client replies; the server's first Recv must skip the stale
-	// preamble and parse the hello.
-	if err := SendMsg(ctx, dial, TypeRequest, "ev-001", 2, &Request{VehicleID: "ev-001", TotalKW: 10, Round: 1, Epoch: 1}); err != nil {
-		t.Fatalf("client send: %v", err)
-	}
-	env, err = acc.Recv(ctx)
-	if err != nil {
-		t.Fatalf("server recv after send-first: %v", err)
-	}
-	var req Request
-	if err := Open(env, TypeRequest, &req); err != nil {
-		t.Fatalf("open request: %v", err)
-	}
-	if WireOf(dial) != WireJSON || WireOf(acc) != WireJSON {
-		t.Fatalf("send-first connection settled on dialer=%s server=%s, want json both", WireOf(dial), WireOf(acc))
 	}
 }
 
@@ -344,7 +183,7 @@ func TestFaultyComposesOverBinary(t *testing.T) {
 		Seed:          424242,
 	}
 	chanSeqs, chanDrop, chanDup, chanReord := deliveryPattern(t, cfg, func() (Transport, Transport) { return NewPair(256) })
-	binSeqs, binDrop, binDup, binReord := deliveryPattern(t, cfg, func() (Transport, Transport) { return NewPipePair(WireBinary) })
+	binSeqs, binDrop, binDup, binReord := deliveryPattern(t, cfg, func() (Transport, Transport) { return NewPipePair() })
 
 	if !reflect.DeepEqual(chanSeqs, binSeqs) {
 		t.Fatalf("delivery pattern diverged:\n chan %v\n bin  %v", chanSeqs, binSeqs)
@@ -361,7 +200,7 @@ func TestFaultyComposesOverBinary(t *testing.T) {
 // TestWireOfUnwrap checks WireOf sees through the decorator stack the
 // deployments actually build (Instrumented over Faulty over conn).
 func TestWireOfUnwrap(t *testing.T) {
-	a, b := NewPipePair(WireBinary)
+	a, b := NewPipePair()
 	defer a.Close()
 	defer b.Close()
 	wrapped := NewInstrumented(NewFaulty(a, FaultConfig{Seed: 1}), nil)
@@ -376,49 +215,20 @@ func TestWireOfUnwrap(t *testing.T) {
 	}
 }
 
-// TestCrossDecodeRejection: a JSON frame fed to the binary decoder
-// and a binary frame fed to the JSON decoder must both be rejected —
-// deterministically, not by luck — so a codec mismatch can never be
-// silently misparsed.
+// TestCrossDecodeRejection: a newline-delimited JSON frame fed to the
+// binary decoder must be rejected — deterministically, not by luck —
+// so a codec mismatch can never be silently misparsed.
 func TestCrossDecodeRejection(t *testing.T) {
 	env, err := Seal(TypeQuote, "grid", 9, testQuote())
 	if err != nil {
 		t.Fatalf("seal: %v", err)
 	}
-
-	// Binary frame into the JSON decoder.
-	bin, err := AppendBinaryFrame(nil, TypeQuote, "grid", 9, testQuote())
-	if err != nil {
-		t.Fatalf("encode binary: %v", err)
-	}
-	if _, err := DecodeFrame(bin); err == nil {
-		t.Fatal("JSON decoder accepted a binary frame")
-	}
-
-	// JSON frame into the binary decoder: the '{' heavy first word
-	// reads as a gigantic length prefix, which the frame bound
-	// rejects before any allocation.
 	raw, err := jsonFrame(env)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
 	if _, err := DecodeBinaryFrame(raw); err == nil {
 		t.Fatal("binary decoder accepted a JSON frame")
-	}
-
-	// And at the transport level: a binary-preset receiver fed JSON
-	// line bytes must fail with ErrFrameTooLarge, not misparse.
-	ca, cb := net.Pipe()
-	rx := newPresetConn(cb, WireBinary)
-	defer rx.Close()
-	go func() {
-		ca.Write(raw)
-		ca.Close()
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := rx.Recv(ctx); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("binary recv of JSON bytes: err=%v, want ErrFrameTooLarge", err)
 	}
 }
 
@@ -494,8 +304,8 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 		t.Fatalf("decode+open allocates %v/op, want 0", allocs)
 	}
 
-	// Transport send path (typed, negotiated binary).
-	tx := newPresetConn(discardConn{}, WireBinary)
+	// Transport send path (typed).
+	tx := newConnTransport(discardConn{}, Timeouts{}, pipeReaderBytes)
 	defer tx.Close()
 	if allocs := testing.AllocsPerRun(100, func() {
 		if err := tx.SendTyped(ctx, TypeQuote, "grid", 42, q); err != nil {
@@ -506,7 +316,7 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 	}
 
 	// Transport receive path.
-	rx := newPresetConn(&replayConn{frame: frame}, WireBinary)
+	rx := newConnTransport(&replayConn{frame: frame}, Timeouts{}, pipeReaderBytes)
 	defer rx.Close()
 	if allocs := testing.AllocsPerRun(100, func() {
 		env, err := rx.Recv(ctx)
@@ -530,7 +340,7 @@ func TestInstrumentedBinaryZeroAlloc(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewTransportMetrics(reg)
 
-	tx := NewInstrumented(newPresetConn(discardConn{}, WireBinary), m)
+	tx := NewInstrumented(newConnTransport(discardConn{}, Timeouts{}, pipeReaderBytes), m)
 	defer tx.Close()
 	if allocs := testing.AllocsPerRun(100, func() {
 		if err := tx.SendTyped(ctx, TypeQuote, "grid", 42, q); err != nil {
@@ -544,7 +354,7 @@ func TestInstrumentedBinaryZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	rx := NewInstrumented(newPresetConn(&replayConn{frame: frame}, WireBinary), m)
+	rx := NewInstrumented(newConnTransport(&replayConn{frame: frame}, Timeouts{}, pipeReaderBytes), m)
 	defer rx.Close()
 	var out Quote
 	if allocs := testing.AllocsPerRun(100, func() {

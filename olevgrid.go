@@ -159,19 +159,19 @@ type (
 	SendWindow = v2i.SendWindow
 	// FaultyTransport injects faults in front of another transport.
 	FaultyTransport = v2i.Faulty
-	// Wire identifies a V2I frame codec: WireJSON (newline-delimited
-	// JSON, the default) or WireBinary (length-prefixed binary with
-	// coalesced quote broadcasts). Codecs are negotiated at dial time;
-	// a peer that doesn't speak binary settles the link down to JSON.
+	// Wire identifies the frame codec a V2I link carries: WireJSON
+	// (JSON-body envelopes, on in-memory links) or WireBinary
+	// (length-prefixed binary frames with coalesced quote broadcasts,
+	// on every TCP or pipe connection).
 	Wire = v2i.Wire
 )
 
 // The V2I wire codecs.
 const (
-	// WireJSON is the newline-delimited JSON framing, the default.
+	// WireJSON is the JSON-body envelope of in-memory links.
 	WireJSON = v2i.WireJSON
-	// WireBinary is the length-prefixed binary framing with
-	// zero-allocation encode/decode.
+	// WireBinary is the length-prefixed binary framing of connections,
+	// with zero-allocation encode/decode.
 	WireBinary = v2i.WireBinary
 )
 
@@ -180,20 +180,12 @@ var (
 	NewCoordinator = sched.NewCoordinator
 	// RunAgentTCP is the full TCP client lifecycle: dial, hello, run.
 	RunAgentTCP = sched.RunTCP
-	// RunAgentTCPWire is RunAgentTCP offering a wire codec at dial
-	// time; the link settles on JSON when the server doesn't take the
-	// offer.
-	RunAgentTCPWire = sched.RunTCPWire
-	// ParseWire parses "json"/"binary" (or "") into a Wire.
-	ParseWire = v2i.ParseWire
-	// DialV2IWire dials a coordinator offering a wire codec.
-	DialV2IWire = v2i.DialWire
 	// NewV2IPipePair returns connected in-memory transports backed by a
-	// synchronous pipe preset to one wire codec — the in-process way to
-	// exercise the binary framing end to end.
+	// synchronous pipe — the in-process way to exercise the binary
+	// framing end to end.
 	NewV2IPipePair = v2i.NewPipePair
-	// V2IWireOf reports the codec a transport's connection negotiated,
-	// unwrapping fault injectors and instrumentation.
+	// V2IWireOf reports the codec a transport carries, unwrapping fault
+	// injectors and instrumentation.
 	V2IWireOf = v2i.WireOf
 	// CollectHellos accepts registrations on a TCP listener.
 	CollectHellos = sched.CollectHellos
