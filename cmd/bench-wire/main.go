@@ -1,20 +1,22 @@
-// Command bench-wire is the A/B harness for the two V2I wires: the
-// JSON-body envelopes in-memory links carry (unicast quotes) and the
+// Command bench-wire is the A/B harness for the V2I wire: the
 // length-prefixed binary frames every connection carries (coalesced
-// QuoteBatch quote broadcasts). It emits machine-readable
-// BENCH_wire.json with four measurements:
+// QuoteBatch quote broadcasts) against a JSON text envelope built with
+// encoding/json (unicast quotes), the reference the binary codec
+// replaced, and in-memory links against connections end to end. It
+// emits machine-readable BENCH_wire.json with four measurements:
 //
 //   - codec: encode and decode ns/op and bytes/frame for a
 //     representative C-section quote on each codec — json.Marshal and
-//     json.Unmarshal of the envelope plus Open against the binary frame
-//     codec — and the binary codec's steady-state allocs/op (encode and
-//     decode);
+//     json.Unmarshal of the JSON envelope plus Open against the binary
+//     frame codec — and the binary codec's steady-state allocs/op
+//     (encode and decode);
 //   - broadcast: the bytes needed to deliver one round of quotes to N
 //     vehicles — N unicast JSON Quote envelopes vs N binary QuoteBatch
 //     frames sharing the section-totals payload with the own row
 //     elided;
 //   - game: the same N-vehicle pricing game run end to end over both
-//     wires (in-memory channel pairs vs connection-backed pipe pairs),
+//     links (in-memory channel pairs with unicast quotes vs
+//     connection-backed pipe pairs with QuoteBatch quotes),
 //     with wall clock, per-round latency, and the resulting welfare
 //     compared bit for bit;
 //   - gates: with -check the run exits non-zero unless the binary
@@ -200,10 +202,17 @@ func costSpec() v2i.CostSpec {
 	}
 }
 
+// jsonEnvelope is the JSON reference envelope: an Envelope literal
+// around the body's encoding/json text.
+func jsonEnvelope(typ v2i.MessageType, from string, seq uint64, body any) (v2i.Envelope, error) {
+	raw, err := json.Marshal(body)
+	return v2i.Envelope{Type: typ, From: from, Seq: seq, Body: raw}, err
+}
+
 func runCodecBench(c int) (codecBench, error) {
 	var out codecBench
 	quote, _ := benchQuote(c)
-	env, err := v2i.Seal(v2i.TypeQuote, "smart-grid", 7, &quote)
+	env, err := jsonEnvelope(v2i.TypeQuote, "smart-grid", 7, &quote)
 	if err != nil {
 		return out, err
 	}
@@ -227,8 +236,8 @@ func runCodecBench(c int) (codecBench, error) {
 		return float64(r.NsPerOp())
 	}
 
-	// Encode: a fresh Marshal of the sealed envelope for JSON, an
-	// append into a reused buffer for binary (the typed path).
+	// Encode: a fresh Marshal of the JSON envelope, an append into a
+	// reused buffer for binary (the typed path).
 	out.JSONEncodeNsOp = nsPerOp(func() {
 		b, err := json.Marshal(env)
 		if err != nil || len(b) == 0 {
@@ -301,7 +310,7 @@ func runBroadcastBench(n, c int) (broadcastBench, error) {
 	for i := 0; i < n; i++ {
 		q, _ := benchQuote(c)
 		q.VehicleID = fmt.Sprintf("ev-%04d", i)
-		env, err := v2i.Seal(v2i.TypeQuote, "smart-grid", uint64(i+1), &q)
+		env, err := jsonEnvelope(v2i.TypeQuote, "smart-grid", uint64(i+1), &q)
 		if err != nil {
 			return out, err
 		}
@@ -329,8 +338,8 @@ func runBroadcastBench(n, c int) (broadcastBench, error) {
 }
 
 // runGame plays one clean n-vehicle game on the given wire — in-memory
-// channel pairs for JSON, connection-backed pipe pairs for binary — and
-// reports rounds, welfare, and wall clock.
+// channel pairs for WireJSON, connection-backed pipe pairs for binary —
+// and reports rounds, welfare, and wall clock.
 func runGame(w v2i.Wire, n, c, parallel int, tol float64, rounds int) (gameRun, error) {
 	var out gameRun
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)

@@ -128,7 +128,7 @@ func run() error {
 	seed := flag.Int64("seed", 7, "base seed for session chaos plans")
 	out := flag.String("o", "BENCH_serve.json", "output path (- for stdout)")
 	check := flag.Bool("check", false, "exit non-zero unless every gate holds")
-	wire := flag.String("wire", "", `V2I frame codec for load sessions: "json" (default) or "binary"`)
+	wire := flag.String("wire", "", `V2I links for load sessions: "json" (default; in-process channels, unicast quotes) or "binary" (pipe connections, QuoteBatch quotes)`)
 	scenarioRef := flag.String("scenario", "", "size every load-phase session from this named city archetype or scenario .json file")
 	flag.Parse()
 

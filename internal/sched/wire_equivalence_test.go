@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -74,7 +75,7 @@ func runWireGame(t *testing.T, w v2i.Wire, n, sections int) Report {
 }
 
 // TestWireWelfareBitEquality is the cross-codec determinism gate: the
-// same game played over in-memory links (JSON-body envelopes, unicast
+// same game played over in-memory links (sealed envelopes, unicast
 // quotes) and over binary connections (coalesced QuoteBatch frames,
 // own rows elided once acknowledged)
 // must land on the same equilibrium to the last bit — welfare, rounds,
@@ -119,5 +120,70 @@ func TestWireWelfareBitEquality(t *testing.T) {
 				t.Errorf("schedule %s[%d]: json %v, binary %v", id, i, jrow[i], brow[i])
 			}
 		}
+	}
+}
+
+// TestNaNRequestRejectedOnEveryLink: a request whose total is NaN
+// crosses an in-memory link just as it crosses a connection — sealed
+// bodies carry float bits, so the sender no longer refuses it — and
+// the coordinator rejects it as an invalid request on both.
+func TestNaNRequestRejectedOnEveryLink(t *testing.T) {
+	for _, w := range []v2i.Wire{v2i.WireJSON, v2i.WireBinary} {
+		t.Run(w.String(), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			gridSide, vehSide := v2i.NewPair(16)
+			if w == v2i.WireBinary {
+				gridSide, vehSide = v2i.NewPipePair()
+			}
+			coord, err := NewCoordinator(CoordinatorConfig{
+				NumSections:    4,
+				LineCapacityKW: 53.55,
+				Cost:           nonlinearSpec(),
+				Tolerance:      1e-3,
+				MaxRounds:      5,
+				RoundTimeout:   2 * time.Second,
+				ShutdownGrace:  50 * time.Millisecond,
+			}, map[string]v2i.Transport{"nan": gridSide})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The scripted vehicle answers every quote, unicast or
+			// batched, with a NaN total for the quoted epoch.
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for seq := uint64(1); ; seq++ {
+					env, err := vehSide.Recv(ctx)
+					if err != nil {
+						return
+					}
+					var q v2i.Quote
+					var qb v2i.QuoteBatch
+					switch {
+					case v2i.Open(env, v2i.TypeQuote, &q) == nil:
+					case v2i.Open(env, v2i.TypeQuoteBatch, &qb) == nil:
+						q.Round, q.Epoch = qb.Round, qb.Epoch
+					default:
+						continue
+					}
+					if err := v2i.SendMsg(ctx, vehSide, v2i.TypeRequest, "nan", seq, &v2i.Request{
+						VehicleID: "nan", TotalKW: math.NaN(), Round: q.Round, Epoch: q.Epoch,
+					}); err != nil {
+						return
+					}
+				}
+			}()
+
+			_, err = coord.Run(ctx)
+			if err == nil || !strings.Contains(err.Error(), "invalid request NaN") {
+				t.Errorf("Run = %v, want an invalid request NaN error", err)
+			}
+			_ = coord.Close()
+			_ = gridSide.Close()
+			_ = vehSide.Close()
+			<-done
+		})
 	}
 }

@@ -40,10 +40,11 @@ type Config struct {
 	// still-running rest, and a later boot's journal scan resumes
 	// them. Empty runs memory-only.
 	JournalDir string
-	// DefaultWire is the V2I frame codec for per-vehicle sessions
-	// whose spec leaves wire unset: "" or "json" keeps the JSON wire,
-	// "binary" the length-prefixed binary codec. Per-session specs
-	// override it.
+	// DefaultWire picks the V2I links for per-vehicle sessions whose
+	// spec leaves wire unset: "" or "json" keeps in-process channel
+	// links with unicast quotes, "binary" runs each vehicle over a pipe
+	// connection with QuoteBatch quotes (see SessionSpec.Wire).
+	// Per-session specs override it.
 	DefaultWire string
 	// Store is ignored: every durable session checkpoints to its own
 	// segment store (<id>.store under JournalDir).

@@ -109,12 +109,13 @@ type SessionSpec struct {
 	LeaveAtRound int `json:"leave_at_round,omitempty"`
 
 	// Wire selects the links of the session's fleet. "" or "json" (the
-	// default) passes JSON-body envelopes over in-process channels.
-	// "binary" runs each vehicle over a connection-backed pipe, which
-	// carries the length-prefixed binary frames every connection
-	// speaks, with coalesced QuoteBatch quotes. Both carry exact
-	// float64 bits, so the equilibrium is identical either way; binary
-	// trades human-readable bodies for zero-allocation encode/decode.
+	// default; the name predates binary sealed bodies) passes sealed
+	// envelopes over in-process channels, with one unicast quote per
+	// vehicle. "binary" runs each vehicle over a connection-backed
+	// pipe, which carries the length-prefixed binary frames every
+	// connection speaks, with coalesced QuoteBatch quotes. Both carry
+	// the same typed-binary bodies and exact float64 bits, so the
+	// equilibrium is identical either way.
 	Wire string `json:"wire,omitempty"`
 
 	// Outages scripts charging-section failures and restorations by

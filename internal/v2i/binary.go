@@ -5,18 +5,18 @@ package v2i
 //
 //	u32  payload length n (bytes after this prefix; 12 <= n < MaxFrameBytes)
 //	u8   message type code (binCodes)
-//	u8   body codec: 0 = typed binary body, 1 = raw JSON body bytes
+//	u8   body codec: 0 = typed binary body (the only one)
 //	u16  len(From), then From bytes
 //	u64  Seq
-//	...  body (layout per message type, or JSON when body codec is 1)
+//	...  body (layout per message type)
 //
 // Scalars are little-endian; float64s are IEEE-754 bits; strings are
-// u16-length-prefixed UTF-8; slices are a u32 element count followed
-// by the elements (count 0 decodes to nil, matching the JSON
-// omitempty convention). Body codec 1 exists so wrappers that can
-// only see sealed Envelopes (the fault injector) still ride a binary
-// connection: the JSON body bytes travel inside a binary frame and
-// Open decodes them as it does any JSON body.
+// u16-length-prefixed bytes; slices are a u32 element count followed
+// by the elements (count 0 decodes to nil). The body layout is also
+// what Seal writes into an Envelope, so a sealed envelope — the form
+// wrappers such as the fault injector see — rides a connection with
+// its body bytes forwarded verbatim. The decoder rejects any other
+// body codec value, including 1, which once carried JSON body bytes.
 //
 // Everything here is allocation-free in steady state: encoding
 // appends into a caller-owned scratch buffer, and decoding aliases
@@ -38,11 +38,9 @@ const (
 	binMinPayload = 1 + 1 + 2 + 8
 )
 
-// Body codec values inside a binary frame.
-const (
-	bodyBinary = 0
-	bodyJSON   = 1
-)
+// bodyBinary is the typed-binary body codec value, the only one a
+// frame may carry.
+const bodyBinary = 0
 
 // Message type codes. 0 is reserved as invalid.
 var binCodes = map[MessageType]byte{
@@ -92,6 +90,13 @@ func appendStr16(dst []byte, s string) ([]byte, error) {
 	}
 	dst = appendU16(dst, uint16(len(s)))
 	return append(dst, s...), nil
+}
+
+func appendI32(dst []byte, v int) ([]byte, error) {
+	if v != int(int32(v)) {
+		return dst, fmt.Errorf("v2i: integer %d exceeds wire limit", v)
+	}
+	return appendU32(dst, uint32(int32(v))), nil
 }
 
 func appendF64s(dst []byte, vs []float64) []byte {
@@ -152,19 +157,27 @@ func appendQuote(dst []byte, m *Quote) ([]byte, error) {
 	if dst, err = appendCostSpec(dst, &m.Cost); err != nil {
 		return dst, err
 	}
-	dst = appendU32(dst, uint32(int32(m.Round)))
+	if dst, err = appendI32(dst, m.Round); err != nil {
+		return dst, err
+	}
 	dst = appendU64(dst, m.Epoch)
-	dst = appendU32(dst, uint32(int32(m.FleetSize)))
+	if dst, err = appendI32(dst, m.FleetSize); err != nil {
+		return dst, err
+	}
 	dst = appendBools(dst, m.Live)
 	return dst, nil
 }
 
 func appendQuoteBatch(dst []byte, m *QuoteBatch) ([]byte, error) {
-	dst = appendU32(dst, uint32(int32(m.Round)))
-	dst = appendU64(dst, m.Epoch)
-	dst = appendU32(dst, uint32(int32(m.FleetSize)))
-	dst, err := appendCostSpec(dst, &m.Cost)
+	dst, err := appendI32(dst, m.Round)
 	if err != nil {
+		return dst, err
+	}
+	dst = appendU64(dst, m.Epoch)
+	if dst, err = appendI32(dst, m.FleetSize); err != nil {
+		return dst, err
+	}
+	if dst, err = appendCostSpec(dst, &m.Cost); err != nil {
 		return dst, err
 	}
 	dst = appendBools(dst, m.Live)
@@ -180,7 +193,9 @@ func appendRequest(dst []byte, m *Request) ([]byte, error) {
 	}
 	dst = appendF64(dst, m.TotalKW)
 	dst = appendF64(dst, m.DrawCapKW)
-	dst = appendU32(dst, uint32(int32(m.Round)))
+	if dst, err = appendI32(dst, m.Round); err != nil {
+		return dst, err
+	}
 	dst = appendU64(dst, m.Epoch)
 	dst = appendF64(dst, m.OwnKWSum)
 	return dst, nil
@@ -193,12 +208,14 @@ func appendSchedule(dst []byte, m *ScheduleMsg) ([]byte, error) {
 	}
 	dst = appendF64s(dst, m.AllocKW)
 	dst = appendF64(dst, m.PaymentH)
-	dst = appendU32(dst, uint32(int32(m.Round)))
-	return dst, nil
+	return appendI32(dst, m.Round)
 }
 
 func appendConverged(dst []byte, m *Converged) ([]byte, error) {
-	dst = appendU32(dst, uint32(int32(m.Rounds)))
+	dst, err := appendI32(dst, m.Rounds)
+	if err != nil {
+		return dst, err
+	}
 	dst = appendF64(dst, m.CongestionDegree)
 	dst = appendF64(dst, m.WelfarePerHour)
 	return dst, nil
@@ -210,13 +227,42 @@ func appendBye(dst []byte, m *Bye) ([]byte, error) {
 
 func appendHeartbeat(dst []byte, m *Heartbeat) ([]byte, error) {
 	dst = appendU64(dst, m.Epoch)
-	dst = appendU32(dst, uint32(int32(m.Round)))
-	return dst, nil
+	return appendI32(dst, m.Round)
+}
+
+// str16Size and f64sSize are the encoded sizes of appendStr16 and
+// appendF64s.
+func str16Size(s string) int       { return 2 + len(s) }
+func f64sSize(vs []float64) int    { return 4 + 8*len(vs) }
+func costSpecSize(m *CostSpec) int { return str16Size(m.Kind) + 5*8 }
+
+// binaryBodySize is the exact size appendBinaryBody writes for a body
+// passed by pointer, so Seal can encode it into one allocation. Any
+// other body yields 0 and grows as it encodes.
+func binaryBodySize(body any) int {
+	switch m := body.(type) {
+	case *Hello:
+		return str16Size(m.VehicleID) + 3*8
+	case *Quote:
+		return str16Size(m.VehicleID) + f64sSize(m.Others) + costSpecSize(&m.Cost) + 4 + 8 + 4 + 4 + len(m.Live)
+	case *QuoteBatch:
+		return 4 + 8 + 4 + costSpecSize(&m.Cost) + 4 + len(m.Live) + f64sSize(m.Totals) + f64sSize(m.Own)
+	case *Request:
+		return str16Size(m.VehicleID) + 8 + 8 + 4 + 8 + 8
+	case *ScheduleMsg:
+		return str16Size(m.VehicleID) + f64sSize(m.AllocKW) + 8 + 4
+	case *Converged:
+		return 4 + 8 + 8
+	case *Bye:
+		return str16Size(m.Reason)
+	case *Heartbeat:
+		return 8 + 4
+	}
+	return 0
 }
 
 // appendBinaryBody dispatches on the concrete body type. ok=false
-// means the type has no fixed layout and the caller should fall back
-// to a JSON body.
+// means the type has no fixed layout.
 func appendBinaryBody(dst []byte, body any) (_ []byte, ok bool, err error) {
 	switch m := body.(type) {
 	case *Hello:
@@ -273,9 +319,9 @@ func finishFrame(dst []byte, start int) ([]byte, error) {
 	return dst, nil
 }
 
-func appendFrameHeader(dst []byte, code, codec byte, from string, seq uint64) ([]byte, error) {
+func appendFrameHeader(dst []byte, code byte, from string, seq uint64) ([]byte, error) {
 	dst = append(dst, 0, 0, 0, 0) // length prefix placeholder
-	dst = append(dst, code, codec)
+	dst = append(dst, code, bodyBinary)
 	dst, err := appendStr16(dst, from)
 	if err != nil {
 		return dst, err
@@ -287,15 +333,14 @@ func appendFrameHeader(dst []byte, code, codec byte, from string, seq uint64) ([
 // included) for a typed message to dst and returns the extended
 // slice. It allocates only when dst lacks capacity, so callers that
 // reuse the returned slice reach zero steady-state allocations. A
-// body type without a fixed layout is carried as JSON bytes inside
-// the frame (body codec 1).
+// body type without a fixed layout is an error.
 func AppendBinaryFrame(dst []byte, typ MessageType, from string, seq uint64, body any) ([]byte, error) {
 	code, ok := binCodes[typ]
 	if !ok {
 		return dst, fmt.Errorf("v2i: no binary code for message type %q", typ)
 	}
 	start := len(dst)
-	out, err := appendFrameHeader(dst, code, bodyBinary, from, seq)
+	out, err := appendFrameHeader(dst, code, from, seq)
 	if err != nil {
 		return dst, err
 	}
@@ -304,31 +349,24 @@ func AppendBinaryFrame(dst []byte, typ MessageType, from string, seq uint64, bod
 		return dst, err
 	}
 	if !ok {
-		raw, err := json.Marshal(body)
-		if err != nil {
-			return dst, fmt.Errorf("v2i: marshal %s body: %w", typ, err)
-		}
-		out[start+binLenPrefix+1] = bodyJSON
-		out = append(out, raw...)
+		return dst, fmt.Errorf("v2i: %s body %T has no binary layout", typ, body)
 	}
 	return finishFrame(out, start)
 }
 
-// EncodeBinaryFrame appends one complete binary frame for a sealed
-// Envelope to dst. The Body travels as JSON bytes (body codec 1)
-// unless the envelope was produced by the binary decoder itself, in
-// which case its typed-binary body bytes are forwarded verbatim.
+// EncodeBinaryFrame appends one complete binary frame for a sealed or
+// decoded Envelope to dst, forwarding its typed-binary body bytes
+// verbatim. An Envelope with a JSON body is an error.
 func EncodeBinaryFrame(dst []byte, env Envelope) ([]byte, error) {
 	code, ok := binCodes[env.Type]
 	if !ok {
 		return dst, fmt.Errorf("v2i: no binary code for message type %q", env.Type)
 	}
-	codec := byte(bodyJSON)
-	if env.bodyBin {
-		codec = bodyBinary
+	if !env.bodyBin {
+		return dst, fmt.Errorf("v2i: %s envelope has a JSON body, which no binary frame carries", env.Type)
 	}
 	start := len(dst)
-	out, err := appendFrameHeader(dst, code, codec, env.From, env.Seq)
+	out, err := appendFrameHeader(dst, code, env.From, env.Seq)
 	if err != nil {
 		return dst, err
 	}
@@ -587,7 +625,7 @@ func (d *FrameDecoder) parsePayload(p []byte) (Envelope, error) {
 	if int(code) >= len(binTypes) || binTypes[code] == "" {
 		return Envelope{}, fmt.Errorf("v2i: unknown binary message code %d", code)
 	}
-	if codec != bodyBinary && codec != bodyJSON {
+	if codec != bodyBinary {
 		return Envelope{}, fmt.Errorf("v2i: unknown body codec %d", codec)
 	}
 	return Envelope{
@@ -595,7 +633,7 @@ func (d *FrameDecoder) parsePayload(p []byte) (Envelope, error) {
 		From:    from,
 		Seq:     seq,
 		Body:    json.RawMessage(p[r.off:]),
-		bodyBin: codec == bodyBinary,
+		bodyBin: true,
 		dec:     d,
 	}, nil
 }

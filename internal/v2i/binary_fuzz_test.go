@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -22,10 +22,10 @@ func binarySeed(f *testing.F, typ MessageType, body any) []byte {
 }
 
 // boundaryFrame builds a binary hello frame whose payload is exactly
-// size bytes, padding a JSON-codec body; unlike EncodeBinaryFrame it
-// does not refuse sizes at or over MaxFrameBytes.
+// size bytes, padding its body; unlike AppendBinaryFrame it does not
+// refuse sizes at or over MaxFrameBytes.
 func boundaryFrame(size int) []byte {
-	frame, err := EncodeBinaryFrame(nil, Envelope{Type: TypeHello, From: "grid", Seq: 1})
+	frame, err := AppendBinaryFrame(nil, TypeHello, "grid", 1, &Hello{})
 	if err != nil {
 		panic(err)
 	}
@@ -68,7 +68,7 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 		f.Add(binarySeed(f, tc.typ, tc.body))
 	}
 
-	// A sealed envelope riding binary (JSON body inside the frame).
+	// A sealed envelope riding binary (its body forwarded verbatim).
 	env, err := Seal(TypeQuote, "grid", 3, &Quote{VehicleID: "olev-02", Others: []float64{4, 4}})
 	if err != nil {
 		f.Fatalf("seal: %v", err)
@@ -118,9 +118,6 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 		if !bytes.Equal(reenc, frame) {
 			t.Fatalf("envelope re-encode mismatch:\n in  %x\n out %x", frame, reenc)
 		}
-		if !got.bodyBin {
-			return
-		}
 		// Typed bodies that parse must round-trip through the typed
 		// encoder to the identical frame (fixed layouts are bijective).
 		out := newBodyFor(got.Type)
@@ -160,27 +157,22 @@ func newBodyFor(typ MessageType) any {
 }
 
 // FuzzWireEquivalence builds a Quote, a Request, and a ScheduleMsg
-// from fuzzed inputs and pushes each through both wires end to end:
-// what an in-memory link carries (Seal → Open of the JSON-body
-// Envelope) and what a connection carries (AppendBinaryFrame →
+// from fuzzed inputs and pushes each through both links end to end:
+// what an in-memory link carries (Seal → Open of the sealed Envelope)
+// and what a connection carries (AppendBinaryFrame →
 // DecodeBinaryFrame → Open). The decoded structs must match field for
-// field — the two wires are interchangeable representations of the
-// same protocol.
+// field — strings byte for byte, valid UTF-8 or not, since both legs
+// are transparent.
 func FuzzWireEquivalence(f *testing.F) {
 	f.Add("grid", "ev-001", uint64(7), int64(42), 3, uint64(9), []byte{1, 2, 3, 200})
 	f.Add("", "", uint64(0), int64(0), 0, uint64(0), []byte{})
 	f.Add("coord-a", "olev-99", ^uint64(0), int64(-17), -1, uint64(1)<<63, []byte{0, 0, 255})
 
 	f.Fuzz(func(t *testing.T, from, vid string, seq uint64, kw int64, round int, epoch uint64, raw []byte) {
-		// JSON replaces invalid UTF-8 with U+FFFD while the binary
-		// codec is transparent; sanitize so both wires carry the same
-		// string value.
-		from = strings.ToValidUTF8(from, "\uFFFD")
-		vid = strings.ToValidUTF8(vid, "\uFFFD")
 		if len(from) > 1<<10 || len(vid) > 1<<10 || len(raw) > 1<<10 {
 			return
 		}
-		// Finite, JSON-round-trippable floats derived from the bytes.
+		// Floats derived from the bytes.
 		vals := make([]float64, len(raw))
 		live := make([]bool, len(raw))
 		for i, b := range raw {
@@ -189,6 +181,17 @@ func FuzzWireEquivalence(f *testing.F) {
 		}
 		if len(vals) == 0 {
 			vals, live = nil, nil
+		}
+		if round != int(int32(round)) || round+1 != int(int32(round+1)) {
+			// Beyond the wire's int32: both legs refuse to encode.
+			q := &Quote{VehicleID: vid, Round: round, FleetSize: round + 1}
+			if _, err := Seal(TypeQuote, from, seq, q); err == nil {
+				t.Fatalf("seal accepted round %d", round)
+			}
+			if _, err := AppendBinaryFrame(nil, TypeQuote, from, seq, q); err == nil {
+				t.Fatalf("binary encode accepted round %d", round)
+			}
+			return
 		}
 
 		check := func(typ MessageType, body, outJSON, outBin any) {
@@ -233,4 +236,188 @@ func FuzzWireEquivalence(f *testing.F) {
 			VehicleID: vid, AllocKW: vals, PaymentH: float64(kw) / 32, Round: round,
 		}, new(ScheduleMsg), new(ScheduleMsg))
 	})
+}
+
+// jsonBodyCase is one hot-path message type: its tag, a fresh zero
+// decode target, and a fresh target already holding every field (so
+// merge semantics and slice reuse are exercised).
+type jsonBodyCase struct {
+	typ       MessageType
+	zero      func() any
+	populated func() any
+}
+
+func jsonBodyCases() []jsonBodyCase {
+	return []jsonBodyCase{
+		{TypeQuote, func() any { return new(Quote) }, func() any {
+			return &Quote{
+				VehicleID: "old", Others: []float64{9, 9, 9}, Round: 4, Epoch: 5, FleetSize: 6,
+				Cost: CostSpec{Kind: "linear", BetaPerKWh: 1, Alpha: 2, LineCapacityKW: 3, OverloadKappaPerKWh: 4, OverloadCapacityKW: 5},
+				Live: []bool{false, true, false},
+			}
+		}},
+		{TypeRequest, func() any { return new(Request) }, func() any {
+			return &Request{VehicleID: "old", TotalKW: 1, DrawCapKW: 2, Round: 3, Epoch: 4, OwnKWSum: 5}
+		}},
+		{TypeSchedule, func() any { return new(ScheduleMsg) }, func() any {
+			return &ScheduleMsg{VehicleID: "old", AllocKW: []float64{7, 7}, PaymentH: 8, Round: 9}
+		}},
+	}
+}
+
+// jsonBodySeeds returns corpus inputs for one message type: the
+// canonical encodings of a sparse and a full value, their indented
+// forms, and hand-written reordered, duplicated, case-variant,
+// escaped, null and malformed variants.
+func jsonBodySeeds(typ MessageType) []string {
+	var canon []any
+	var extra []string
+	switch typ {
+	case TypeQuote:
+		canon = []any{&Quote{}, testQuote(), &Quote{VehicleID: "v", Others: []float64{}, Live: []bool{}}}
+		extra = []string{
+			`{"round":3,"live":[true,false],"cost":{"beta_per_kwh":0.02,"kind":"linear"},"epoch":9,"others":[1,2.5e-7,-0],"vehicle_id":"ev"}`,
+			`{"cost":{"kind":"a"},"cost":{"alpha":1.5},"others":[1,2],"others":[3]}`,
+			`{"others":null,"live":null,"fleet_size":0}`,
+			`{"Vehicle_ID":"ev","OTHERS":[1],"Cost":{"Kind":"linear"}}`,
+			`{"vehicle_id":"e\u0076\n","cost":{"kind":"\"x\""}}`,
+			`{"round":null,"cost":null,"vehicle_id":null}`,
+			`{"round":1.5}`, `{"epoch":-1}`, `{"others":[1e400]}`, `{"others":[01]}`,
+			`{"others":[1,]}`, `{"others":[null]}`, `{"others":[1,2]`, `{"unknown":1}`, `{"vehicle_id":"ev"} x`,
+			` { "round" : 2 , "others" : [ 1 , 2 ] } `, `null`, `[]`, `{}`, `{`, ``,
+		}
+	case TypeRequest:
+		canon = []any{&Request{}, &Request{VehicleID: "ev-001", TotalKW: 41.5, DrawCapKW: 12, Round: 2, Epoch: 9, OwnKWSum: 1e-7}}
+		extra = []string{
+			`{"epoch":9,"own_kw_sum":3,"total_kw":1,"vehicle_id":"ev","round":2,"draw_cap_kw":2.5}`,
+			`{"total_kw":1,"total_kw":2}`, `{"Total_KW":1}`, `{"vehicle_id":"\u00e9v"}`,
+			`{"total_kw":-0}`, `{"total_kw":1E+2}`, `{"round":9223372036854775808}`,
+			`{"epoch":18446744073709551616}`, `{"total_kw":"1"}`, `{"total_kw":+1}`,
+		}
+	case TypeSchedule:
+		canon = []any{&ScheduleMsg{}, &ScheduleMsg{VehicleID: "ev-001", AllocKW: []float64{2, 0, 1e21}, PaymentH: 0.8, Round: 2}}
+		extra = []string{
+			`{"round":2,"payment_per_hour":0.5,"alloc_kw":[],"vehicle_id":"ev"}`,
+			`{"alloc_kw":[1,2,3,4,5,6,7,8]}`, `{"alloc_kw":null}`, `{"ALLOC_KW":[1]}`,
+			`{"alloc_kw":[1 2]}`, `{"alloc_kw":[true]}`, `{"alloc_kw":[1,2]`, `{"payment_per_hour":.5}`,
+		}
+	}
+	var seeds []string
+	for _, v := range canon {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			panic(err)
+		}
+		var ind bytes.Buffer
+		if err := json.Indent(&ind, raw, "\t", "  "); err != nil {
+			panic(err)
+		}
+		seeds = append(seeds, string(raw), ind.String())
+	}
+	return append(seeds, extra...)
+}
+
+// FuzzJSONBodyEquivalence holds Open's JSON path — an Envelope built
+// by hand with a JSON body — to json.Unmarshal on arbitrary bytes for
+// each hot-path type, from a zero and from a populated target: the
+// same error/no-error outcome and, on success, deeply equal structs;
+// on a syntax error, which json.Unmarshal rejects before writing
+// anything, Open must leave the target unchanged too. Whatever the JSON
+// path accepts must then survive the binary body codec: re-sealing the
+// decoded struct and opening it yields the same fields, floats bit for
+// bit (the binary codec decodes an empty slice as nil), and a body
+// beyond the codec's limits fails to seal instead of being cut short.
+func FuzzJSONBodyEquivalence(f *testing.F) {
+	for _, c := range jsonBodyCases() {
+		for _, s := range jsonBodySeeds(c.typ) {
+			f.Add([]byte(s))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range jsonBodyCases() {
+			for _, fresh := range []func() any{c.zero, c.populated} {
+				got, want := fresh(), fresh()
+				errGot := Open(Envelope{Type: c.typ, Body: data}, c.typ, got)
+				errWant := json.Unmarshal(data, want)
+				if (errGot == nil) != (errWant == nil) {
+					t.Fatalf("%s %q: Open error %v, json.Unmarshal error %v", c.typ, data, errGot, errWant)
+				}
+				if errGot == nil && !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %q:\nOpen           %#v\njson.Unmarshal %#v", c.typ, data, got, want)
+				}
+				var syntax *json.SyntaxError
+				if errors.As(errWant, &syntax) && !reflect.DeepEqual(got, fresh()) {
+					t.Fatalf("%s %q: Open failed on a syntax error but changed the target to %#v", c.typ, data, got)
+				}
+				if errWant != nil {
+					continue
+				}
+
+				env, err := Seal(c.typ, "fz", 1, want)
+				if fits := fitsWire(reflect.ValueOf(want)); (err == nil) != fits {
+					t.Fatalf("%s %q: seal of a decoded body within wire limits %v: error %v", c.typ, data, fits, err)
+				}
+				if err != nil {
+					continue
+				}
+				back := fresh()
+				if err := Open(env, c.typ, back); err != nil {
+					t.Fatalf("%s %q: open of the re-sealed body: %v", c.typ, data, err)
+				}
+				if !sameBody(reflect.ValueOf(back), reflect.ValueOf(want)) {
+					t.Fatalf("%s %q:\nre-sealed      %#v\njson.Unmarshal %#v", c.typ, data, back, want)
+				}
+			}
+		}
+	})
+}
+
+// fitsWire reports whether the binary body codec can carry v: every
+// string at most 65535 bytes and every int within int32.
+func fitsWire(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Pointer:
+		return fitsWire(v.Elem())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !fitsWire(v.Field(i)) {
+				return false
+			}
+		}
+	case reflect.String:
+		return v.Len() <= math.MaxUint16
+	case reflect.Int:
+		return v.Int() == int64(int32(v.Int()))
+	}
+	return true
+}
+
+// sameBody compares two decoded bodies field by field: floats by their
+// bits, and a nil slice equal to an empty one.
+func sameBody(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Pointer:
+		return sameBody(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBody(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBody(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	default:
+		return a.Interface() == b.Interface()
+	}
 }

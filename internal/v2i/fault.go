@@ -142,9 +142,9 @@ func (f *Faulty) Recv(ctx context.Context) (Envelope, error) {
 // Unwrap exposes the wrapped transport to WireOf. Faulty deliberately
 // does NOT implement TypedSender: every send must pass through Send
 // so the fault plan (drop/dup/reorder/partition) applies identically
-// on every codec — SendMsg through a Faulty falls back to Seal+Send,
-// and over a connection the sealed JSON body rides inside a binary
-// frame.
+// on every link — SendMsg through a Faulty falls back to Seal+Send,
+// and over a connection the sealed typed-binary body is forwarded
+// into the frame verbatim.
 func (f *Faulty) Unwrap() Transport { return f.inner }
 
 // Close implements Transport. A frame still held by a pending reorder

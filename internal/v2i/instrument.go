@@ -10,9 +10,8 @@ import (
 // split by direction and message type. Counters are per-type so the
 // exposition shows the protocol mix (quotes vs requests vs control
 // frames); errors are lumped per direction. Frames and bytes that
-// cross a connection are also counted under the binary codec label;
-// in-memory links carry no bytes and leave those counters alone. Nil
-// is the off switch.
+// cross a connection are also counted in total; in-memory links carry
+// no bytes and leave those two counters alone. Nil is the off switch.
 type TransportMetrics struct {
 	sent      map[MessageType]*obs.Counter
 	received  map[MessageType]*obs.Counter
@@ -21,10 +20,9 @@ type TransportMetrics struct {
 	SendErrs  *obs.Counter
 	RecvErrs  *obs.Counter
 
-	// Indexed by Wire (0 = json, 1 = binary). Plain array indexing and
-	// Counter.Add keep the armed accounting allocation-free.
-	framesByCodec [2]*obs.Counter
-	bytesByCodec  [2]*obs.Counter
+	// Connection frames and bytes, both directions.
+	wireFrames *obs.Counter
+	wireBytes  *obs.Counter
 }
 
 // knownTypes is the closed protocol set the per-type counters cover.
@@ -42,14 +40,13 @@ func NewTransportMetrics(r *obs.Registry) *TransportMetrics {
 		recvOther: r.Counter("olev_v2i_frames_received_total", obs.Label{Key: "type", Value: "other"}),
 		SendErrs:  r.Counter("olev_v2i_send_errors_total"),
 		RecvErrs:  r.Counter("olev_v2i_recv_errors_total"),
+
+		wireFrames: r.Counter("olev_v2i_frames_total"),
+		wireBytes:  r.Counter("olev_v2i_bytes_total"),
 	}
 	for _, t := range knownTypes {
 		m.sent[t] = r.Counter("olev_v2i_frames_sent_total", obs.Label{Key: "type", Value: string(t)})
 		m.received[t] = r.Counter("olev_v2i_frames_received_total", obs.Label{Key: "type", Value: string(t)})
-	}
-	for _, w := range []Wire{WireJSON, WireBinary} {
-		m.framesByCodec[w] = r.Counter("olev_v2i_frames_total", obs.Label{Key: "codec", Value: w.String()})
-		m.bytesByCodec[w] = r.Counter("olev_v2i_bytes_total", obs.Label{Key: "codec", Value: w.String()})
 	}
 	return m
 }
@@ -76,26 +73,26 @@ func (m *TransportMetrics) Received(t MessageType) uint64 {
 	return m.recvOther.Value()
 }
 
-// FramesOnWire returns the frame count (both directions) attributed
-// to one codec.
-func (m *TransportMetrics) FramesOnWire(w Wire) uint64 {
-	if m == nil || int(w) >= len(m.framesByCodec) {
+// FramesOnWire returns the number of frames (both directions) that
+// crossed a connection.
+func (m *TransportMetrics) FramesOnWire() uint64 {
+	if m == nil {
 		return 0
 	}
-	return m.framesByCodec[w].Value()
+	return m.wireFrames.Value()
 }
 
-// BytesOnWire returns the on-the-wire byte count (both directions)
-// attributed to one codec.
-func (m *TransportMetrics) BytesOnWire(w Wire) uint64 {
-	if m == nil || int(w) >= len(m.bytesByCodec) {
+// BytesOnWire returns the number of frame bytes (both directions),
+// length prefixes included, that crossed a connection.
+func (m *TransportMetrics) BytesOnWire() uint64 {
+	if m == nil {
 		return 0
 	}
-	return m.bytesByCodec[w].Value()
+	return m.wireBytes.Value()
 }
 
 // wireStats is the byte accounting surface a connection-backed
-// transport exposes for per-codec metrics.
+// transport exposes for the wire counters.
 type wireStats interface {
 	BytesSent() uint64
 	BytesReceived() uint64
@@ -125,7 +122,7 @@ type Instrumented struct {
 	inner Transport
 	m     *TransportMetrics
 
-	// ws is the underlying connection's codec/byte accounting, found
+	// ws is the underlying connection's byte accounting, found
 	// once at construction. prevSent/prevRecv turn its cumulative byte
 	// counters into per-frame deltas; they are guarded by the
 	// Transport contract (one concurrent sender, one receiver), not a
@@ -146,8 +143,7 @@ func NewInstrumented(t Transport, m *TransportMetrics) *Instrumented {
 // Unwrap exposes the wrapped transport to WireOf.
 func (i *Instrumented) Unwrap() Transport { return i.inner }
 
-// countSentWire attributes one successful send to the connection's
-// binary codec.
+// countSentWire counts one successful send that crossed a connection.
 func (i *Instrumented) countSentWire() {
 	if i.ws == nil {
 		return
@@ -155,8 +151,8 @@ func (i *Instrumented) countSentWire() {
 	s := i.ws.BytesSent()
 	d := s - i.prevSent
 	i.prevSent = s
-	i.m.framesByCodec[WireBinary].Inc()
-	i.m.bytesByCodec[WireBinary].Add(int64(d))
+	i.m.wireFrames.Inc()
+	i.m.wireBytes.Add(int64(d))
 }
 
 // countRecvWire is the receive-side counterpart of countSentWire.
@@ -167,8 +163,8 @@ func (i *Instrumented) countRecvWire() {
 	s := i.ws.BytesReceived()
 	d := s - i.prevRecv
 	i.prevRecv = s
-	i.m.framesByCodec[WireBinary].Inc()
-	i.m.bytesByCodec[WireBinary].Add(int64(d))
+	i.m.wireFrames.Inc()
+	i.m.wireBytes.Add(int64(d))
 }
 
 // Send implements Transport.

@@ -1,15 +1,15 @@
 // Package v2i implements the vehicle-to-infrastructure messaging the
 // paper's decentralized framework rides on: typed messages, an
-// in-memory transport for simulation that carries them as JSON-body
+// in-memory transport for simulation that carries them as sealed
 // Envelopes, a TCP transport standing in for the paper's IEEE 802.11p
-// / LTE links that carries them as binary frames (binary.go), and a
-// fault-injecting wrapper for failure testing.
+// / LTE links that carries them as length-prefixed binary frames, and
+// a fault-injecting wrapper for failure testing.
 //
-// Sealed message bodies are JSON as encoding/json writes them. The three
-// bodies of every best-response exchange — Quote, Request and
-// ScheduleMsg — are encoded and decoded without reflection (jsonbody.go), byte for byte and field for field the same
-// as encoding/json, which still handles every other body and every
-// input outside that codec's canonical subset.
+// Every protocol body has one encoding, the fixed-layout binary body
+// codec (binary.go): Seal writes it, a connection frame carries it,
+// and Open reads it back. Float64s travel as their IEEE-754 bits, so a
+// message crosses an in-memory link and a connection bit for bit
+// alike. A body type with no fixed layout is sealed as JSON.
 package v2i
 
 import (
@@ -47,7 +47,10 @@ const (
 	TypeQuoteBatch MessageType = "quote_batch"
 )
 
-// Envelope is the wire frame around every message.
+// Envelope is the frame around every message. Sealed and decoded
+// envelopes carry a typed-binary Body, so they do not marshal as JSON;
+// an Envelope literal whose Body is JSON text still Opens, through
+// encoding/json.
 type Envelope struct {
 	Type MessageType     `json:"type"`
 	From string          `json:"from"`
@@ -55,10 +58,11 @@ type Envelope struct {
 	Body json.RawMessage `json:"body,omitempty"`
 
 	// bodyBin marks Body as typed-binary codec bytes rather than JSON;
-	// set only by the binary frame decoder, and dec is then the decoder
-	// whose scratch Body aliases (its intern cache keeps repeated ID
-	// strings allocation-free). Both are zero for every sealed or
-	// JSON-decoded envelope, so Envelope literals behave as before.
+	// Seal and the binary frame decoder set it. dec is the decoder
+	// whose scratch a decoded Body aliases (its intern cache keeps
+	// repeated ID strings allocation-free); nil for a sealed envelope,
+	// which owns its Body. Both are zero in an Envelope literal, whose
+	// Body is therefore read as JSON.
 	bodyBin bool
 	dec     *FrameDecoder
 }
@@ -186,41 +190,41 @@ type Heartbeat struct {
 	Round int    `json:"round"`
 }
 
-// Seal marshals a body into an envelope. The body bytes are exactly
-// json.Marshal's: a *Quote, *Request or *ScheduleMsg is encoded
-// without reflection into one allocation, and any other body, or one
-// holding a value that codec declines (NaN, ±Inf, a string json.Marshal
-// would escape), goes through json.Marshal, whose error Seal returns.
+// Seal encodes a body into an envelope. A body with a fixed binary
+// layout — a protocol struct or a pointer to one — is written with the
+// typed-binary body codec, a pointer into one allocation of its exact
+// size, so floats keep their IEEE-754 bits; the error is then the
+// codec's (a string longer than 65535 bytes, or an int outside int32,
+// which the wire carries in four bytes). NaN and ±Inf are encoded like any
+// other bits, as on a connection: receivers reject them where they are
+// invalid. Any other body is marshalled with encoding/json, whose
+// error Seal returns.
 func Seal(t MessageType, from string, seq uint64, body any) (Envelope, error) {
-	raw, ok := sealJSONBody(body)
-	if !ok {
-		var err error
-		if raw, err = json.Marshal(body); err != nil {
-			return Envelope{}, fmt.Errorf("v2i: marshal %s: %w", t, err)
-		}
+	raw, ok, err := appendBinaryBody(make([]byte, 0, binaryBodySize(body)), body)
+	if err != nil {
+		return Envelope{}, err
+	}
+	if ok {
+		return Envelope{Type: t, From: from, Seq: seq, Body: raw, bodyBin: true}, nil
+	}
+	if raw, err = json.Marshal(body); err != nil {
+		return Envelope{}, fmt.Errorf("v2i: marshal %s: %w", t, err)
 	}
 	return Envelope{Type: t, From: from, Seq: seq, Body: raw}, nil
 }
 
 // Open decodes an envelope body into out, checking the type tag. A
-// JSON body (every sealed envelope, and JSON bodies carried inside
-// binary frames) decodes with json.Unmarshal's semantics: into a
-// *Quote, *Request or *ScheduleMsg through the reflection-free decoder
-// when the body is in its canonical subset, and through encoding/json
-// otherwise, so errors and unusual inputs behave as json.Unmarshal's
-// (a syntax error leaves out unchanged; a type error may leave it
-// partly written). A typed-binary body from the binary frame decoder
-// takes the allocation-free fixed-layout path. Both paths reuse out's
-// slice storage.
+// typed-binary body — every sealed or frame-decoded protocol message —
+// takes the fixed-layout path, which reuses out's slice storage and
+// rejects truncated or trailing bytes. A JSON body (an Envelope built
+// by hand, or a sealed body with no fixed layout) decodes with
+// json.Unmarshal.
 func Open(env Envelope, want MessageType, out any) error {
 	if env.Type != want {
 		return fmt.Errorf("v2i: got %s, want %s", env.Type, want)
 	}
 	if env.bodyBin {
 		return decodeBinaryBody(env.Type, env.Body, env.dec, out)
-	}
-	if openJSONBody(env.Body, out) {
-		return nil
 	}
 	if err := json.Unmarshal(env.Body, out); err != nil {
 		return fmt.Errorf("v2i: unmarshal %s: %w", want, err)

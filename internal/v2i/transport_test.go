@@ -112,14 +112,18 @@ func TestTCPOversizedFrameRejectedOnRecv(t *testing.T) {
 }
 
 // TestTCPOversizedFrameRejectedOnSend: the sender refuses to put an
-// over-limit frame on the wire at all.
+// over-limit frame on the wire at all. The body seals (a float vector
+// has no length limit of its own); only the frame bound refuses it.
 func TestTCPOversizedFrameRejectedOnSend(t *testing.T) {
 	client, server := net.Pipe()
 	defer func() { _ = client.Close() }()
 	defer func() { _ = server.Close() }()
 	tr := NewConnTransport(client)
 
-	env, err := Seal(TypeBye, "ev", 1, Bye{Reason: strings.Repeat("y", MaxFrameBytes)})
+	if _, err := Seal(TypeBye, "ev", 1, &Bye{Reason: strings.Repeat("y", 1<<16)}); err == nil {
+		t.Error("Seal accepted a string over the codec's 65535-byte limit")
+	}
+	env, err := Seal(TypeSchedule, "ev", 1, &ScheduleMsg{AllocKW: make([]float64, MaxFrameBytes/8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +140,7 @@ func TestTCPOversizedFrameRejectedOnSend(t *testing.T) {
 // 0x7974227B, which the frame bound refuses before sizing any buffer:
 // no hang, and no allocation anywhere near the announced size.
 func TestJSONPeerRejectedOnFirstFrame(t *testing.T) {
-	env, err := Seal(TypeHello, "ev-001", 1, &Hello{VehicleID: "ev-001", MaxPowerKW: 68})
-	if err != nil {
-		t.Fatal(err)
-	}
-	line, err := jsonFrame(env)
+	line, err := jsonFrame(TypeHello, "ev-001", 1, &Hello{VehicleID: "ev-001", MaxPowerKW: 68})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -47,35 +49,176 @@ func TestOpenTypeMismatch(t *testing.T) {
 	}
 }
 
+func TestSealRejectsIntBeyondWire(t *testing.T) {
+	// The wire carries ints in four bytes: one outside int32 must fail
+	// to encode on either link, not arrive wrapped.
+	for _, round := range []int{math.MaxInt32 + 1, math.MinInt32 - 1} {
+		if _, err := Seal(TypeRequest, "ev", 1, &Request{Round: round}); err == nil {
+			t.Errorf("Seal accepted round %d", round)
+		}
+		if _, err := AppendBinaryFrame(nil, TypeSchedule, "grid", 1, &ScheduleMsg{Round: round}); err == nil {
+			t.Errorf("AppendBinaryFrame accepted round %d", round)
+		}
+	}
+	env, err := Seal(TypeHeartbeat, "grid", 1, &Heartbeat{Round: math.MinInt32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hb Heartbeat
+	if err := Open(env, TypeHeartbeat, &hb); err != nil || hb.Round != math.MinInt32 {
+		t.Errorf("MinInt32 round: got %d, %v", hb.Round, err)
+	}
+}
+
 func TestSealOpenQuickProperty(t *testing.T) {
-	// Any request survives a wire round trip bit-exact.
-	f := func(id string, total, drawCap float64, round int) bool {
-		if math.IsNaN(total) || math.IsInf(total, 0) ||
-			math.IsNaN(drawCap) || math.IsInf(drawCap, 0) {
-			return true
+	// Any request, NaN and ±Inf included, survives both links bit-exact:
+	// what an in-memory pair passes (the sealed envelope) and what a
+	// connection carries (that envelope framed and decoded).
+	same := func(a, b Request) bool {
+		return a.VehicleID == b.VehicleID && a.Round == b.Round && a.Epoch == b.Epoch &&
+			math.Float64bits(a.TotalKW) == math.Float64bits(b.TotalKW) &&
+			math.Float64bits(a.DrawCapKW) == math.Float64bits(b.DrawCapKW) &&
+			math.Float64bits(a.OwnKWSum) == math.Float64bits(b.OwnKWSum)
+	}
+	f := func(id string, total, drawCap float64, round int, nonFinite uint8) bool {
+		switch nonFinite % 4 {
+		case 1:
+			total = math.NaN()
+		case 2:
+			drawCap = math.Inf(1)
+		case 3:
+			total = math.Inf(-1)
 		}
-		in := Request{VehicleID: id, TotalKW: total, DrawCapKW: drawCap, Round: round}
-		env, err := Seal(TypeRequest, id, 1, in)
+		in := Request{VehicleID: id, TotalKW: total, DrawCapKW: drawCap, Round: int(int32(round))}
+		env, err := Seal(TypeRequest, id, 1, &in)
 		if err != nil {
-			return false
-		}
-		// Simulate the wire: envelope itself is JSON-marshaled too.
-		raw, err := json.Marshal(env)
-		if err != nil {
-			return false
-		}
-		var back Envelope
-		if err := json.Unmarshal(raw, &back); err != nil {
 			return false
 		}
 		var out Request
-		if err := Open(back, TypeRequest, &out); err != nil {
+		if err := Open(env, TypeRequest, &out); err != nil || !same(out, in) {
 			return false
 		}
-		return out == in
+		frame, err := EncodeBinaryFrame(nil, env)
+		if err != nil {
+			return false
+		}
+		back, err := DecodeBinaryFrame(frame)
+		if err != nil || back.From != id {
+			return false
+		}
+		out = Request{}
+		return Open(back, TypeRequest, &out) == nil && same(out, in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// benchBodies are the three hot-path messages at 24 sections with
+// realistic, full-precision float values.
+func benchBodies() []struct {
+	typ  MessageType
+	body any
+	out  func() any
+} {
+	r := rand.New(rand.NewSource(24))
+	vec := func() []float64 {
+		v := make([]float64, 24)
+		for i := range v {
+			v[i] = r.Float64() * 40
+		}
+		return v
+	}
+	return []struct {
+		typ  MessageType
+		body any
+		out  func() any
+	}{
+		{TypeQuote, &Quote{
+			VehicleID: "olev-0042", Others: vec(), Round: 11, Epoch: 683, FleetSize: 60,
+			Cost: CostSpec{Kind: "nonlinear", BetaPerKWh: 0.02, Alpha: 0.875, LineCapacityKW: 53.55,
+				OverloadKappaPerKWh: 10, OverloadCapacityKW: 0.9 * 53.55},
+		}, func() any { return new(Quote) }},
+		{TypeRequest, &Request{VehicleID: "olev-0042", TotalKW: r.Float64() * 60, DrawCapKW: 2.5, Round: 11, Epoch: 683},
+			func() any { return new(Request) }},
+		{TypeSchedule, &ScheduleMsg{VehicleID: "olev-0042", AllocKW: vec(), PaymentH: r.Float64(), Round: 11},
+			func() any { return new(ScheduleMsg) }},
+	}
+}
+
+// TestSealOpenAllocs pins the sealed-body allocation budget at 24
+// sections. Seal allocates only the body, sized exactly — for every
+// protocol type, so its capacity equals its length. Open into a target
+// it decoded into before reuses its slice storage and allocates only
+// the strings: the ID and Cost.Kind for a quote, the ID otherwise.
+func TestSealOpenAllocs(t *testing.T) {
+	for _, c := range testBodies() {
+		env, err := Seal(c.typ, "smart-grid", 7, c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(env.Body) != cap(env.Body) {
+			t.Errorf("Seal %s: body of %d bytes in a buffer of %d", c.typ, len(env.Body), cap(env.Body))
+		}
+	}
+	budget := map[MessageType]float64{TypeQuote: 2, TypeSchedule: 1, TypeRequest: 1}
+	for _, c := range benchBodies() {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := Seal(c.typ, "smart-grid", 7, c.body); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 1 {
+			t.Errorf("Seal %s allocates %v/op, want 1", c.typ, allocs)
+		}
+		env, err := Seal(c.typ, "smart-grid", 7, c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := c.out()
+		if allocs := testing.AllocsPerRun(100, func() {
+			if err := Open(env, c.typ, out); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != budget[c.typ] {
+			t.Errorf("Open %s allocates %v/op, want %v", c.typ, allocs, budget[c.typ])
+		}
+		if !reflect.DeepEqual(out, c.body) {
+			t.Errorf("Open %s = %+v, want %+v", c.typ, out, c.body)
+		}
+	}
+}
+
+// BenchmarkSealOpen measures one Seal plus one Open into a fresh
+// target per message type at 24 sections, beside the encoding/json
+// round trip sealed bodies used to take.
+func BenchmarkSealOpen(b *testing.B) {
+	for _, c := range benchBodies() {
+		b.Run(string(c.typ), func(b *testing.B) {
+			b.Run("v2i", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					env, err := Seal(c.typ, "smart-grid", 7, c.body)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := Open(env, c.typ, c.out()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run("encoding-json", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					raw, err := json.Marshal(c.body)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := json.Unmarshal(raw, c.out()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
 	}
 }
 

@@ -5,18 +5,20 @@ import (
 	"fmt"
 )
 
-// Wire identifies the frame codec a V2I link carries. The rule has
-// no option behind it: in-memory links (NewPair) carry Envelope values
-// with JSON bodies, and every connection-backed transport (Dial,
-// Server.Accept, NewConnTransport, NewPipePair) carries length-prefixed
-// binary frames from its first byte (DESIGN.md §14). WireOf reports
-// which one a transport is.
+// Wire identifies how a V2I link carries messages. The rule has no
+// option behind it: in-memory links (NewPair) pass sealed Envelope
+// values, and every connection-backed transport (Dial, Server.Accept,
+// NewConnTransport, NewPipePair) carries length-prefixed binary frames
+// from its first byte (DESIGN.md §14). Both carry the same
+// typed-binary body bytes. WireOf reports which one a transport is;
+// the coordinator sends coalesced QuoteBatch quotes only to
+// WireBinary links.
 type Wire uint8
 
 // The wire codecs.
 const (
-	// WireJSON is the Envelope with a JSON body, as in-memory links
-	// carry it.
+	// WireJSON is an in-memory link passing sealed Envelope values
+	// (named for the JSON bodies those once held).
 	WireJSON Wire = iota
 	// WireBinary is the length-prefixed fixed-layout binary codec.
 	WireBinary

@@ -6,20 +6,26 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"olevgrid/internal/obs"
 )
 
-// jsonFrame renders an envelope as the newline-delimited JSON line a
-// foreign peer might write onto a connection.
-func jsonFrame(env Envelope) ([]byte, error) {
-	raw, err := json.Marshal(env)
+// jsonFrame renders a message as the newline-delimited JSON line a
+// foreign peer might write onto a connection: an Envelope literal
+// around the body's encoding/json text.
+func jsonFrame(typ MessageType, from string, seq uint64, body any) ([]byte, error) {
+	raw, err := json.Marshal(body)
 	if err != nil {
 		return nil, err
 	}
-	return append(raw, '\n'), nil
+	line, err := json.Marshal(Envelope{Type: typ, From: from, Seq: seq, Body: raw})
+	if err != nil {
+		return nil, err
+	}
+	return append(line, '\n'), nil
 }
 
 func testQuote() *Quote {
@@ -95,25 +101,22 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 	}
 }
 
-// TestSealedEnvelopeOverBinary sends a sealed (JSON-bodied) envelope
-// through a binary connection: the JSON body must ride inside the
-// binary frame and Open on the far side must fall back to
-// encoding/json transparently. This is the path every Faulty-wrapped
-// send takes on a binary link.
+// TestSealedEnvelopeOverBinary sends a quote through a Faulty wrapped
+// around one end of a NewPipePair — the fault injector seals every
+// message — and checks the frame the far end read carries body codec
+// 0: the sealed typed-binary body is forwarded verbatim, never JSON,
+// and Opens to the same struct.
 func TestSealedEnvelopeOverBinary(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	a, b := NewPipePair()
 	defer a.Close()
 	defer b.Close()
+	f := NewFaulty(a, FaultConfig{Seed: 1})
 
 	want := testQuote()
-	env, err := Seal(TypeQuote, "grid", 3, want)
-	if err != nil {
-		t.Fatalf("seal: %v", err)
-	}
 	errc := make(chan error, 1)
-	go func() { errc <- a.Send(ctx, env) }()
+	go func() { errc <- SendMsg(ctx, f, TypeQuote, "grid", 3, want) }()
 	got, err := b.Recv(ctx)
 	if err != nil {
 		t.Fatalf("recv: %v", err)
@@ -121,12 +124,37 @@ func TestSealedEnvelopeOverBinary(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatalf("send: %v", err)
 	}
+	// The receiving decoder's scratch still holds the frame payload:
+	// type code, then body codec.
+	if codec := b.(*tcpTransport).dec.scratch[1]; codec != bodyBinary {
+		t.Fatalf("frame body codec = %d, want %d (typed binary)", codec, bodyBinary)
+	}
 	var q Quote
 	if err := Open(got, TypeQuote, &q); err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	if !reflect.DeepEqual(&q, want) {
 		t.Fatalf("sealed-over-binary mismatch:\n got %+v\nwant %+v", &q, want)
+	}
+}
+
+// TestJSONBodyHasNoFrame: a body with no fixed layout, or an Envelope
+// holding JSON text, cannot be framed, and a frame whose body codec
+// byte is 1 (JSON body bytes, no longer a codec) is rejected.
+func TestJSONBodyHasNoFrame(t *testing.T) {
+	if _, err := AppendBinaryFrame(nil, TypeBye, "grid", 1, map[string]string{"reason": "x"}); err == nil {
+		t.Error("AppendBinaryFrame framed a body with no binary layout")
+	}
+	if _, err := EncodeBinaryFrame(nil, Envelope{Type: TypeBye, From: "grid", Seq: 1, Body: []byte(`{}`)}); err == nil {
+		t.Error("EncodeBinaryFrame framed a JSON body")
+	}
+	frame, err := AppendBinaryFrame(nil, TypeBye, "grid", 1, &Bye{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[binLenPrefix+1] = 1
+	if _, err := DecodeBinaryFrame(frame); err == nil || !strings.Contains(err.Error(), "unknown body codec 1") {
+		t.Errorf("decoding body codec 1 = %v, want unknown body codec", err)
 	}
 }
 
@@ -219,11 +247,7 @@ func TestWireOfUnwrap(t *testing.T) {
 // binary decoder must be rejected — deterministically, not by luck —
 // so a codec mismatch can never be silently misparsed.
 func TestCrossDecodeRejection(t *testing.T) {
-	env, err := Seal(TypeQuote, "grid", 9, testQuote())
-	if err != nil {
-		t.Fatalf("seal: %v", err)
-	}
-	raw, err := jsonFrame(env)
+	raw, err := jsonFrame(TypeQuote, "grid", 9, testQuote())
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
@@ -332,8 +356,9 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 }
 
 // TestInstrumentedBinaryZeroAlloc is the conformance guard for the
-// per-codec counters: an armed metrics bundle must not cost the
-// binary path a single allocation in either direction.
+// wire counters: an armed metrics bundle must not cost the binary path
+// a single allocation in either direction, and it counts every frame
+// and byte that crossed the connection.
 func TestInstrumentedBinaryZeroAlloc(t *testing.T) {
 	ctx := context.Background()
 	q := testQuote()
@@ -369,13 +394,23 @@ func TestInstrumentedBinaryZeroAlloc(t *testing.T) {
 		t.Fatalf("armed Recv allocates %v/op, want 0", allocs)
 	}
 
-	if got := m.FramesOnWire(WireBinary); got == 0 {
-		t.Fatal("per-codec frame counter did not advance on the binary path")
+	// AllocsPerRun(100, ...) makes 101 calls, one of them a warm-up,
+	// in each direction.
+	if got := m.FramesOnWire(); got != 2*101 {
+		t.Fatalf("wire frame counter = %d, want %d", got, 2*101)
 	}
-	if got := m.BytesOnWire(WireBinary); got == 0 {
-		t.Fatal("per-codec byte counter did not advance on the binary path")
+	if got, want := m.BytesOnWire(), uint64(2*101*len(frame)); got != want {
+		t.Fatalf("wire byte counter = %d, want %d", got, want)
 	}
-	if got := m.FramesOnWire(WireJSON); got != 0 {
-		t.Fatalf("JSON codec counter advanced %d on a binary-only run", got)
+
+	// An in-memory link moves no bytes and leaves the wire counters alone.
+	ca, cb := NewPair(1)
+	defer ca.Close()
+	defer cb.Close()
+	if err := SendMsg(ctx, NewInstrumented(ca, m), TypeQuote, "grid", 43, q); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	if got := m.FramesOnWire(); got != 2*101 {
+		t.Fatalf("in-memory send moved the wire frame counter to %d", got)
 	}
 }

@@ -159,16 +159,18 @@ type (
 	SendWindow = v2i.SendWindow
 	// FaultyTransport injects faults in front of another transport.
 	FaultyTransport = v2i.Faulty
-	// Wire identifies the frame codec a V2I link carries: WireJSON
-	// (JSON-body envelopes, on in-memory links) or WireBinary
-	// (length-prefixed binary frames with coalesced quote broadcasts,
-	// on every TCP or pipe connection).
+	// Wire identifies how a V2I link carries messages: WireJSON
+	// (sealed envelopes with unicast quotes, on in-memory links) or
+	// WireBinary (length-prefixed binary frames with coalesced quote
+	// broadcasts, on every TCP or pipe connection). Both carry the
+	// same typed-binary message bodies.
 	Wire = v2i.Wire
 )
 
-// The V2I wire codecs.
+// The V2I link kinds.
 const (
-	// WireJSON is the JSON-body envelope of in-memory links.
+	// WireJSON is the sealed envelope of in-memory links (named for the
+	// JSON bodies those once held).
 	WireJSON = v2i.WireJSON
 	// WireBinary is the length-prefixed binary framing of connections,
 	// with zero-allocation encode/decode.
