@@ -2,6 +2,7 @@ package olevgrid_test
 
 import (
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -273,11 +274,25 @@ func BenchmarkAblationUpdateOrder(b *testing.B) {
 }
 
 // BenchmarkRunAllQuick exercises the whole harness end to end, as the
-// facade exposes it.
+// facade exposes it, three ways: cold is the paper's path (asynchronous
+// dynamics, every sweep point cold, strictly sequential); warm-p1
+// chains warm starts through the round engine with one worker; and
+// warm-pmax adds worker fan-out at GOMAXPROCS.
 func BenchmarkRunAllQuick(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := olevgrid.RunAllExperiments(io.Discard, true); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		opts olevgrid.RunAllExperimentOptions
+	}{
+		{"cold", olevgrid.RunAllExperimentOptions{Quick: true}},
+		{"warm-p1", olevgrid.RunAllExperimentOptions{Quick: true, Parallelism: 1, WarmStart: true}},
+		{"warm-pmax", olevgrid.RunAllExperimentOptions{Quick: true, Parallelism: runtime.GOMAXPROCS(0), WarmStart: true}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := olevgrid.RunAllExperimentsWith(io.Discard, bc.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -85,10 +85,11 @@ func runDay(t *testing.T, s Spec) float64 {
 	return DayWelfare(res)
 }
 
-// TestConformRegisteredArchetypes is the in-tree mirror of the
-// cmd/scenario-conform CI gate: every registered archetype passes
-// every declared gate end to end, including blackout-recovery's
-// vs-clean day comparison.
+// TestConformRegisteredArchetypes is the scenario library's acceptance
+// gate: every registered archetype passes every declared gate end to
+// end (welfare band, rounds ceiling, congestion within η, nonnegative
+// payments, convergence, and blackout-recovery's vs-clean day bound).
+// It skips under -short, so CI runs it without that flag.
 func TestConformRegisteredArchetypes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered per-gate by the cross-seed tests; full Conform runs coupled days")

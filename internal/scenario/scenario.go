@@ -7,14 +7,14 @@
 // the daemon's per-session parameters — together with a declared
 // expected-outcome envelope (welfare band, rounds ceiling, congestion
 // within the safety factor on live sections, payment nonnegativity,
-// convergence) that the conformance harness asserts.
+// convergence) that Conform asserts.
 //
 // The point is regression surface: "the pricing policy flattens a
 // rush-hour surge" stops being an anecdote from ad-hoc CLI flags and
-// becomes a named, machine-checked claim — cmd/scenario-conform runs
-// every registered archetype and gates its envelope in CI, the same
-// move that makes the demand-shaping results of the source paper's
-// evaluation falsifiable here.
+// becomes a named, machine-checked claim — the test
+// TestConformRegisteredArchetypes runs every registered archetype and
+// gates its envelope, the same move that makes the demand-shaping
+// results of the source paper's evaluation falsifiable here.
 package scenario
 
 import (

@@ -376,52 +376,79 @@ func TestScanTransientVsCorruptSkips(t *testing.T) {
 	}
 }
 
-// TestServerSegmentStoreDrainResume is the end-to-end path on the
-// real filesystem: a daemon drains a session mid-run into its
-// checkpoint store, and a fresh daemon over the same directory
-// recovers through that store and warm-resumes it.
+// TestServerSegmentStoreDrainResume is the end-to-end path through a
+// daemon pair: a daemon drains a session mid-run into its checkpoint
+// store beside one it already finished, and a fresh daemon over the
+// same journal directory recovers through that store, warm-resumes the
+// interrupted session and replays the finished one as complete. The os
+// row runs on the real filesystem; the faultfs row crashes the fault
+// filesystem between the two daemons, so the second boots from what
+// was durable.
 func TestServerSegmentStoreDrainResume(t *testing.T) {
-	dir := t.TempDir()
-	s := NewServer(Config{
-		MaxSessions: 4, DrainGrace: 300 * time.Millisecond,
-		JournalDir: dir,
-	})
-	sess, err := s.Create(slowSpec(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, sess, StateRunning, 5*time.Second)
-	time.Sleep(150 * time.Millisecond) // let rounds checkpoint
-	if interrupted := s.Drain(); interrupted != 1 {
-		t.Fatalf("interrupted %d, want 1", interrupted)
-	}
-	if ok, err := store.OS.DirExists(storeDirPath(dir, sess.ID)); err != nil || !ok {
-		t.Fatalf("no store directory after drain: %v %v", ok, err)
-	}
+	for _, tc := range []struct {
+		name  string
+		fault bool
+	}{{"os", false}, {"faultfs", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var fsys store.FS = store.OS
+			restart := func() store.FS { return fsys }
+			if tc.fault {
+				ffs := store.NewFaultFS(store.FaultConfig{Seed: 1})
+				fsys = ffs
+				restart = func() store.FS { return ffs.Restart(store.FaultConfig{}) }
+			}
+			s := NewServer(Config{
+				MaxSessions: 4, DrainGrace: 300 * time.Millisecond,
+				JournalDir: dir, FS: fsys,
+			})
+			done, err := s.Create(smallSpec(20))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := s.Create(slowSpec(21))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitState(t, done, StateDone, 5*time.Second)
+			waitState(t, sess, StateRunning, 5*time.Second)
+			time.Sleep(150 * time.Millisecond) // let rounds checkpoint
+			if interrupted := s.Drain(); interrupted != 1 {
+				t.Fatalf("interrupted %d, want 1", interrupted)
+			}
+			if ok, err := fsys.DirExists(storeDirPath(dir, sess.ID)); err != nil || !ok {
+				t.Fatalf("no store directory after drain: %v %v", ok, err)
+			}
 
-	s2 := NewServer(Config{
-		MaxSessions: 4, DrainGrace: 5 * time.Second,
-		JournalDir: dir,
-	})
-	defer s2.Close()
-	decisions, err := s2.ResumeScanned()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d *Decision
-	for i := range decisions {
-		if decisions[i].ID == sess.ID {
-			d = &decisions[i]
-		}
-	}
-	if d == nil || d.Action != ActionResume || !d.HasCheckpoint {
-		t.Fatalf("restart decision = %+v", d)
-	}
-	if !d.Store.Recovered {
-		t.Fatalf("resume did not recover through the store: %+v", d.Store)
-	}
-	resumed, ok := s2.Get(sess.ID)
-	if !ok || !resumed.Resumed {
-		t.Fatal("session not re-admitted after restart")
+			s2 := NewServer(Config{
+				MaxSessions: 4, DrainGrace: 5 * time.Second,
+				JournalDir: dir, FS: restart(),
+			})
+			defer s2.Close()
+			decisions, err := s2.ResumeScanned()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var resumed, replayed int
+			for _, d := range decisions {
+				switch {
+				case d.Action == ActionResume && d.HasCheckpoint && d.ID == sess.ID:
+					if !d.Store.Recovered {
+						t.Fatalf("resume did not recover through the store: %+v", d.Store)
+					}
+					resumed++
+				case d.Action == ActionComplete && d.ID == done.ID:
+					replayed++
+				default:
+					t.Fatalf("unexpected restart decision %+v", d)
+				}
+			}
+			if resumed != 1 || replayed != 1 {
+				t.Fatalf("restart resumed %d and replayed %d sessions, want 1 and 1", resumed, replayed)
+			}
+			if again, ok := s2.Get(sess.ID); !ok || !again.Resumed {
+				t.Fatal("session not re-admitted after restart")
+			}
+		})
 	}
 }

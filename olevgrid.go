@@ -397,8 +397,6 @@ var (
 	GetScenario = scenario.Get
 	// LoadScenario resolves a name-or-file scenario reference.
 	LoadScenario = scenario.Load
-	// ConformScenario runs an archetype and asserts its envelope.
-	ConformScenario = scenario.Conform
 )
 
 // RunAllExperiments regenerates every figure and writes rendered
