@@ -39,20 +39,38 @@ type PaymentFunction struct {
 	// sorted and prefix are others prepared by sortBreakpoints.
 	sorted, prefix []float64
 	// drawCap is the Eq. (3) per-section coupling limit for this
-	// vehicle; non-positive means uncapped. Set via WithDrawCap.
+	// vehicle; non-positive means uncapped. Set via WithDrawCap or
+	// Rebuild.
 	drawCap float64
+	// buf backs others, sorted and prefix: 3C+1 floats.
+	buf []float64
 }
 
 // NewPaymentFunction captures the payment function for one OLEV given
 // the shared section cost and the other OLEVs' current per-section
 // totals. The slice is copied.
 func NewPaymentFunction(cost CostFunction, others []float64) *PaymentFunction {
+	f := new(PaymentFunction)
+	f.Rebuild(cost, others, 0)
+	return f
+}
+
+// Rebuild re-captures f in place for a new quote, exactly as
+// NewPaymentFunction(cost, others).WithDrawCap(drawCap) would (a
+// non-positive drawCap means uncapped), reusing f's 3C+1 buffer when
+// it is large enough: an agent pricing one quote after another
+// allocates nothing. The slice is copied. Copies made by WithDrawCap
+// share the buffer, so Rebuild invalidates them.
+func (f *PaymentFunction) Rebuild(cost CostFunction, others []float64, drawCap float64) {
 	c := len(others)
-	buf := make([]float64, 3*c+1)
-	f := &PaymentFunction{cost: cost, others: buf[:c:c], sorted: buf[c : 2*c : 2*c], prefix: buf[2*c:]}
+	if cap(f.buf) < 3*c+1 {
+		f.buf = make([]float64, 3*c+1)
+	}
+	buf := f.buf[: 3*c+1 : 3*c+1]
+	f.cost, f.drawCap = cost, drawCap
+	f.others, f.sorted, f.prefix = buf[:c:c], buf[c:2*c:2*c], buf[2*c:]
 	copy(f.others, others)
 	sortBreakpoints(f.sorted, f.prefix, others)
-	return f
 }
 
 // At evaluates Ψ_n(p): the total payment for requesting p kW.

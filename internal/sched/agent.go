@@ -92,7 +92,8 @@ type Agent struct {
 	// after a newer one.
 	gridSeq uint64
 	// lastQuote and lastQuoteAt ground the degraded-mode fallback: the
-	// last grid state this agent saw, and when.
+	// last grid state this agent saw, and when. lastQuote points at
+	// quote once one has been answered.
 	lastQuote   *v2i.Quote
 	lastQuoteAt time.Time
 	// lastAlloc is the own schedule row the grid last confirmed (exact
@@ -102,6 +103,23 @@ type Agent struct {
 	// degraded marks an autonomy episode in progress, so the next
 	// successful Recv counts as a reconnect.
 	degraded bool
+
+	// Buffers reused by every turn. quote, batch and sched are the
+	// decode targets of the grid's frames (a batch is answered through
+	// quote too) and req the outgoing request; spec and cost cache the
+	// last quoted section cost, compact the live-compacted background,
+	// and psi the payment function priced against it.
+	quote   v2i.Quote
+	batch   v2i.QuoteBatch
+	sched   v2i.ScheduleMsg
+	req     v2i.Request
+	spec    v2i.CostSpec
+	cost    core.CostFunction
+	compact []float64
+	psi     core.PaymentFunction
+	// dl bounds each receive by the autonomy QuoteDeadline; Run makes
+	// it and releases it when it returns.
+	dl *deadline
 }
 
 // NewAgent validates and builds an agent over an established link.
@@ -143,14 +161,21 @@ func (a *Agent) Hello(ctx context.Context) error {
 func (a *Agent) Run(ctx context.Context) (AgentResult, error) {
 	var res AgentResult
 	m := a.cfg.Metrics
+	rctx := ctx
+	var silence time.Duration
+	if a.cfg.Autonomy != nil && a.cfg.Autonomy.QuoteDeadline > 0 {
+		silence = a.cfg.Autonomy.QuoteDeadline
+		a.dl = newDeadline(ctx)
+		defer a.dl.release()
+		rctx = a.dl
+	}
 	for {
-		rctx, cancel := ctx, context.CancelFunc(nil)
-		if a.cfg.Autonomy != nil && a.cfg.Autonomy.QuoteDeadline > 0 {
-			rctx, cancel = context.WithTimeout(ctx, a.cfg.Autonomy.QuoteDeadline)
+		if silence > 0 {
+			a.dl.arm(silence)
 		}
 		env, err := a.link.Recv(rctx)
-		if cancel != nil {
-			cancel()
+		if silence > 0 {
+			a.dl.disarm()
 		}
 		if err != nil {
 			if a.cfg.Autonomy != nil && ctx.Err() == nil && isSilenceTimeout(err) {
@@ -160,7 +185,7 @@ func (a *Agent) Run(ctx context.Context) (AgentResult, error) {
 				// standby's first quote) resumes the exact protocol.
 				first := !a.degraded
 				a.degraded = true
-				res.LastFallbackKW = a.fallbackKW(time.Now())
+				res.LastFallbackKW = a.fallbackKW(now())
 				if first {
 					tally(&res.DegradedEpisodes, m.DegradedEpisodes)
 					m.Sink.Emit(obs.EventDegraded, a.cfg.VehicleID, int32(res.Rounds), -1, res.LastFallbackKW)
@@ -199,13 +224,14 @@ func (a *Agent) Run(ctx context.Context) (AgentResult, error) {
 				return res, err
 			}
 		case v2i.TypeSchedule:
-			var msg v2i.ScheduleMsg
-			if err := v2i.Open(env, v2i.TypeSchedule, &msg); err != nil {
+			msg := &a.sched
+			*msg = v2i.ScheduleMsg{VehicleID: msg.VehicleID, AllocKW: msg.AllocKW[:0]}
+			if err := v2i.Open(env, v2i.TypeSchedule, msg); err != nil {
 				return res, err
 			}
-			res.FinalAllocKW = msg.AllocKW
+			res.FinalAllocKW = append(res.FinalAllocKW[:0], msg.AllocKW...)
 			res.FinalPaymentH = msg.PaymentH
-			a.lastAlloc = msg.AllocKW
+			a.lastAlloc = append(a.lastAlloc[:0], msg.AllocKW...)
 		case v2i.TypeConverged:
 			res.Converged = true
 		case v2i.TypeHeartbeat:
@@ -221,11 +247,14 @@ func (a *Agent) Run(ctx context.Context) (AgentResult, error) {
 // answerQuote computes the best response to a quoted payment function
 // and sends the request.
 func (a *Agent) answerQuote(ctx context.Context, env v2i.Envelope, res *AgentResult) error {
-	var quote v2i.Quote
-	if err := v2i.Open(env, v2i.TypeQuote, &quote); err != nil {
+	q := &a.quote
+	*q = v2i.Quote{
+		VehicleID: q.VehicleID, Others: q.Others[:0], Cost: v2i.CostSpec{Kind: q.Cost.Kind}, Live: q.Live[:0],
+	}
+	if err := v2i.Open(env, v2i.TypeQuote, q); err != nil {
 		return err
 	}
-	return a.respond(ctx, &quote, 0, res)
+	return a.respond(ctx, q, 0, res)
 }
 
 // answerBatch answers a coalesced quote: reconstruct the private
@@ -236,8 +265,11 @@ func (a *Agent) answerQuote(ctx context.Context, env v2i.Envelope, res *AgentRes
 // drifted (a lost ScheduleMsg) detects the desync and re-quotes with
 // the row inlined.
 func (a *Agent) answerBatch(ctx context.Context, env v2i.Envelope, res *AgentResult) error {
-	var qb v2i.QuoteBatch
-	if err := v2i.Open(env, v2i.TypeQuoteBatch, &qb); err != nil {
+	qb := &a.batch
+	*qb = v2i.QuoteBatch{
+		Cost: v2i.CostSpec{Kind: qb.Cost.Kind}, Live: qb.Live[:0], Totals: qb.Totals[:0], Own: qb.Own[:0],
+	}
+	if err := v2i.Open(env, v2i.TypeQuoteBatch, qb); err != nil {
 		return err
 	}
 	own := qb.Own
@@ -252,14 +284,15 @@ func (a *Agent) answerBatch(ctx context.Context, env v2i.Envelope, res *AgentRes
 			return fmt.Errorf("sched: agent %s: batch own width %d, totals width %d",
 				a.cfg.VehicleID, len(own), len(qb.Totals))
 		}
-		a.lastAlloc = own // the grid just told us our row authoritatively
+		a.lastAlloc = append(a.lastAlloc[:0], own...) // the grid just told us our row authoritatively
 	}
-	quote := v2i.Quote{
-		VehicleID: a.cfg.VehicleID, Others: othersFrom(qb.Totals, own),
+	q := &a.quote
+	*q = v2i.Quote{
+		VehicleID: a.cfg.VehicleID, Others: othersFrom(q.Others, qb.Totals, own),
 		Cost: qb.Cost, Round: qb.Round, Epoch: qb.Epoch,
 		FleetSize: qb.FleetSize, Live: qb.Live,
 	}
-	return a.respond(ctx, &quote, sum(own), res)
+	return a.respond(ctx, q, sum(own), res)
 }
 
 // respond computes the best response to a quote (unicast or
@@ -269,36 +302,38 @@ func (a *Agent) answerBatch(ctx context.Context, env v2i.Envelope, res *AgentRes
 // unchanged.
 func (a *Agent) respond(ctx context.Context, quote *v2i.Quote, ownSum float64, res *AgentResult) error {
 	a.lastQuote = quote
-	a.lastQuoteAt = time.Now()
-	cost, err := BuildCost(quote.Cost)
-	if err != nil {
-		return err
+	a.lastQuoteAt = now()
+	if a.cost == nil || quote.Cost != a.spec {
+		cost, err := BuildCost(quote.Cost)
+		if err != nil {
+			return err
+		}
+		a.cost, a.spec = cost, quote.Cost
 	}
 	// A quote flagging dead sections prices only the live ones: the
 	// best response is computed over the compacted vector, and the
 	// grid water-fills the answer over the same live set.
 	others := quote.Others
 	if len(quote.Live) == len(others) {
-		compact := make([]float64, 0, len(others))
+		compact := a.compact[:0]
 		for i, ok := range quote.Live {
 			if ok {
 				compact = append(compact, others[i])
 			}
 		}
+		a.compact = compact
 		others = compact
 	}
-	psi := core.NewPaymentFunction(cost, others)
-	if a.cfg.MaxSectionDrawKW > 0 {
-		psi = psi.WithDrawCap(a.cfg.MaxSectionDrawKW)
-	}
-	request := core.BestResponse(a.cfg.Satisfaction, psi, a.cfg.MaxPowerKW)
+	a.psi.Rebuild(a.cost, others, a.cfg.MaxSectionDrawKW)
+	request := core.BestResponse(a.cfg.Satisfaction, &a.psi, a.cfg.MaxPowerKW)
 
 	a.seq++
-	err = v2i.SendMsg(ctx, a.link, v2i.TypeRequest, a.cfg.VehicleID, a.seq, &v2i.Request{
+	a.req = v2i.Request{
 		VehicleID: a.cfg.VehicleID, TotalKW: request,
 		DrawCapKW: a.cfg.MaxSectionDrawKW, Round: quote.Round,
 		Epoch: quote.Epoch, OwnKWSum: ownSum,
-	})
+	}
+	err := v2i.SendMsg(ctx, a.link, v2i.TypeRequest, a.cfg.VehicleID, a.seq, &a.req)
 	if err != nil {
 		return fmt.Errorf("sched: agent %s send request: %w", a.cfg.VehicleID, err)
 	}

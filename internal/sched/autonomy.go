@@ -60,7 +60,7 @@ func (a *Agent) fallbackKW(now time.Time) float64 {
 		fleet = 1
 	}
 	numLive := len(q.Others)
-	if q.Live != nil {
+	if len(q.Live) > 0 {
 		numLive = 0
 		for _, ok := range q.Live {
 			if ok {

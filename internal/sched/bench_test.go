@@ -93,8 +93,9 @@ func BenchmarkConvergenceVsDropRate(b *testing.B) {
 }
 
 // BenchmarkCoordinatorTotals measures the coordinator's P_c pass — the
-// section-totals vector every quote is priced against — at a
-// stadium-egress-sized fleet (N=120, C=24).
+// section-totals vector every quote is priced against, summed over the
+// slot table into its reused buffer — at a stadium-egress-sized fleet
+// (N=120, C=24). It allocates nothing.
 //
 //	go test ./internal/sched -run '^$' -bench CoordinatorTotals -benchmem
 func BenchmarkCoordinatorTotals(b *testing.B) {
@@ -112,7 +113,7 @@ func BenchmarkCoordinatorTotals(b *testing.B) {
 	}
 	rng := stats.NewRand(1)
 	for i := 0; i < n; i++ {
-		row := coord.schedule[fmt.Sprintf("ev-%03d", i)]
+		row := coord.index[fmt.Sprintf("ev-%03d", i)].row
 		for s := range row {
 			row[s] = 2 * rng.Float64()
 		}
@@ -120,7 +121,7 @@ func BenchmarkCoordinatorTotals(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchTotals = coord.SectionTotals()
+		benchTotals = coord.totalsVec()
 	}
 }
 

@@ -270,41 +270,49 @@ type SectionOutage struct {
 // Coordinator runs the smart-grid side of the protocol for a dynamic
 // set of connected vehicles.
 type Coordinator struct {
-	cfg      CoordinatorConfig
-	cost     core.CostFunction
-	links    map[string]v2i.Transport
-	schedule map[string][]float64
-	// order is schedule's vehicle IDs in sorted order, the fixed
-	// summation order of totalsVec. Every change to the fleet's
-	// membership (removeVehicle, admitJoins, AddVehicle) resets it to
-	// nil, and sortedIDs rebuilds it on next use, so a steady round
-	// sorts nothing.
-	order []string
+	cfg  CoordinatorConfig
+	cost core.CostFunction
+	// costs is cost once per section, the vector Payment prices
+	// against; applyFeed rebuilds it when β moves.
+	costs []core.CostFunction
+
+	// slots is the fleet table, one slot per vehicle, sorted by ID:
+	// the fixed summation order of totalsVec. Each slot's schedule row
+	// is a window of one contiguous N×C backing. Every membership
+	// change (AddVehicle, admitJoins, removeVehicle) goes through
+	// insertSlot or dropSlot, which re-sort and re-pack the table, so a
+	// steady round sorts nothing. index maps a vehicle ID to its slot.
+	// links is the caller's map, kept in step with the table.
+	slots []*vehicle
+	index map[string]*vehicle
+	links map[string]v2i.Transport
 
 	// epoch is the schedule version: it advances on every install,
 	// join, departure, and eviction, so any quote stamped with an
 	// older epoch is known to describe a background load that no
 	// longer exists.
 	epoch uint64
-	// lastSeq is the highest envelope sequence number accepted per
-	// vehicle; frames at or below it are replays.
-	lastSeq map[string]uint64
-	// consecFails drives the per-vehicle circuit breaker.
-	consecFails map[string]int
 
 	// live flags which sections are energized; scripted outages clear
-	// entries and restorations set them. Only Run's goroutine writes
-	// it, at the top of a round.
-	live []bool
+	// entries and restorations set them. liveIdx lists the energized
+	// sections, or is nil while all are (the fast path: no
+	// compaction). Only Run's goroutine writes either, at the top of a
+	// round.
+	live    []bool
+	liveIdx []int
 
-	// sentRow caches, per vehicle, a copy of the schedule row the
-	// vehicle last acknowledged (i.e. the row carried by its last
-	// accepted ScheduleMsg). A batched quote elides the vehicle's own
-	// row only while the cached copy is bit-identical to the live row;
-	// any divergence (outage zeroing, checkpoint restore) forces the
-	// row back onto the wire. Guarded by mu: installRequest writes it
-	// from Run's goroutine while batch collection goroutines read it.
-	sentRow map[string][]float64
+	// Buffers reused by every turn, only on Run's goroutine: totals is
+	// the P_c vector, others the sequential path's P_−n, compact a
+	// live-compacted background.
+	totals, others, compact []float64
+
+	// dl bounds the exchanges Run's goroutine makes; batchDL[i] bounds
+	// those of batch slot i's collector, whose background load is
+	// batchOthers[i]. Run makes the deadlines and releases them when it
+	// returns.
+	dl          *deadline
+	batchDL     []*deadline
+	batchOthers [][]float64
 
 	joins     chan pendingJoin
 	rng       *rand.Rand
@@ -329,18 +337,44 @@ type Coordinator struct {
 	// inherited) stay open.
 	deposed atomic.Bool
 
-	// mu guards the session state shared with concurrent batch
-	// collection goroutines: seq, lastSeq, counts, sentRow, and rng.
-	// The schedule and epoch are only ever touched from Run's
+	// mu guards the state shared by concurrent batch collection
+	// goroutines: seq, counts and rng. A slot is touched during a
+	// batch only by its own collector, and otherwise only by Run's
+	// goroutine; the schedule and epoch change only on Run's
 	// goroutine, between batches.
 	mu sync.Mutex
 }
 
+// vehicle is one slot of the coordinator's fleet table.
+type vehicle struct {
+	id   string
+	link v2i.Transport
+	// row is the vehicle's schedule, a window of the table's backing.
+	row []float64
+	// sent is a copy of the row the vehicle last acknowledged (the
+	// row its last accepted ScheduleMsg carried), valid while synced.
+	// A batched quote elides the vehicle's own row only while sent is
+	// bit-identical to row; any divergence (outage zeroing, checkpoint
+	// restore) or a desynced answer puts the row back on the wire.
+	sent   []float64
+	synced bool
+	// lastSeq is the highest envelope sequence number accepted from
+	// the vehicle; frames at or below it are replays.
+	lastSeq uint64
+	// consecFails drives the circuit breaker.
+	consecFails int
+	// req is the decode target of the vehicle's replies.
+	req v2i.Request
+}
+
 // NewCoordinator validates the configuration and builds a coordinator.
 // links maps vehicle IDs to their established transports; the caller
-// owns accepting connections (see ServeTCP for the listener loop). If
-// the configured Journal holds a compatible checkpoint, the schedule
-// warm-starts from it.
+// owns accepting connections (see ServeTCP for the listener loop). The
+// coordinator keeps links in step with its fleet — a vehicle that
+// joins is added, one that departs or is evicted is deleted — so a
+// successor built over the same map (Failover) inherits the live
+// fleet. If the configured Journal holds a compatible checkpoint, the
+// schedule warm-starts from it.
 func NewCoordinator(cfg CoordinatorConfig, links map[string]v2i.Transport) (*Coordinator, error) {
 	if cfg.NumSections < 1 {
 		return nil, fmt.Errorf("sched: need sections, got %d", cfg.NumSections)
@@ -384,33 +418,91 @@ func NewCoordinator(cfg CoordinatorConfig, links map[string]v2i.Transport) (*Coo
 			return nil, fmt.Errorf("sched: outage up round %d not after down round %d", o.UpRound, o.DownRound)
 		}
 	}
+	n := cfg.NumSections
 	c := &Coordinator{
-		cfg:         cfg,
-		cost:        cost,
-		links:       links,
-		schedule:    make(map[string][]float64, len(links)),
-		epoch:       1,
-		lastSeq:     make(map[string]uint64, len(links)),
-		consecFails: make(map[string]int, len(links)),
-		sentRow:     make(map[string][]float64, len(links)),
-		joins:       make(chan pendingJoin, joinQueueDepth),
-		rng:         stats.NewRand(cfg.Seed),
-		live:        make([]bool, cfg.NumSections),
+		cfg:     cfg,
+		index:   make(map[string]*vehicle, len(links)),
+		links:   links,
+		epoch:   1,
+		joins:   make(chan pendingJoin, joinQueueDepth),
+		rng:     stats.NewRand(cfg.Seed),
+		live:    make([]bool, n),
+		totals:  make([]float64, n),
+		others:  make([]float64, n),
+		compact: make([]float64, n),
 	}
+	c.setCost(cost)
 	attempts := time.Duration(cfg.MaxRetries + 1)
 	c.exchangeDeadline = attempts*cfg.RoundTimeout + attempts*maxBackoffStep*cfg.RetryBackoff
 	for i := range c.live {
 		c.live[i] = true
 	}
-	for id := range links {
-		c.schedule[id] = make([]float64, cfg.NumSections)
+	for id, link := range links {
+		v := c.newVehicle(id, link)
+		c.slots = append(c.slots, v)
+		c.index[id] = v
 	}
+	c.pack()
 	if cfg.Journal != nil {
 		if cp, ok, err := cfg.Journal.Load(); err == nil && ok && c.restoreCheckpoint(cp) {
 			c.restored = true
 		}
 	}
 	return c, nil
+}
+
+// newVehicle makes a slot with a zero schedule row, not yet in the
+// table.
+func (c *Coordinator) newVehicle(id string, link v2i.Transport) *vehicle {
+	return &vehicle{id: id, link: link, sent: make([]float64, c.cfg.NumSections)}
+}
+
+// insertSlot adds a vehicle to the fleet table; a row already set on
+// the slot seeds its schedule.
+func (c *Coordinator) insertSlot(v *vehicle) {
+	c.slots = append(c.slots, v)
+	c.index[v.id] = v
+	c.links[v.id] = v.link
+	c.pack()
+}
+
+// dropSlot removes a vehicle from the fleet table.
+func (c *Coordinator) dropSlot(v *vehicle) {
+	delete(c.index, v.id)
+	delete(c.links, v.id)
+	kept := c.slots[:0]
+	for _, s := range c.slots {
+		if s != v {
+			kept = append(kept, s)
+		}
+	}
+	clear(c.slots[len(kept):])
+	c.slots = kept
+	c.pack()
+}
+
+// pack sorts the table by vehicle ID and copies every row into one
+// fresh contiguous backing; a slot whose row is nil starts at zero.
+func (c *Coordinator) pack() {
+	sort.Slice(c.slots, func(i, j int) bool { return c.slots[i].id < c.slots[j].id })
+	n := c.cfg.NumSections
+	backing := make([]float64, len(c.slots)*n)
+	for i, v := range c.slots {
+		row := backing[i*n : (i+1)*n : (i+1)*n]
+		copy(row, v.row)
+		v.row = row
+	}
+}
+
+// setCost installs the shared section cost and its per-section vector.
+func (c *Coordinator) setCost(cost core.CostFunction) {
+	c.cost = cost
+	if c.costs == nil {
+		c.costs = make([]core.CostFunction, c.cfg.NumSections)
+	}
+	for i := range c.costs {
+		c.costs[i] = cost
+	}
 }
 
 // Restored reports whether construction warm-started the schedule
@@ -443,19 +535,19 @@ func (c *Coordinator) Close() error {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), grace)
 		var wg sync.WaitGroup
-		for _, link := range c.links {
+		for _, v := range c.slots {
 			seq := c.nextSeq()
 			wg.Add(1)
 			go func(link v2i.Transport, seq uint64) {
 				defer wg.Done()
 				_ = v2i.SendMsg(ctx, link, v2i.TypeBye, "smart-grid", seq, &v2i.Bye{Reason: "shutdown"})
-			}(link, seq)
+			}(v.link, seq)
 		}
 		wg.Wait()
 		cancel()
 		c.saveCheckpoint(c.lastRound)
-		for _, link := range c.links {
-			_ = link.Close()
+		for _, v := range c.slots {
+			_ = v.link.Close()
 		}
 	})
 	return nil
@@ -474,9 +566,12 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 	if c.closed.Load() {
 		return Report{}, errors.New("sched: coordinator is closed")
 	}
-	// The visit list starts from the sorted fleet (the links and the
-	// schedule share their keys) and is shuffled in place per round.
-	ids := append([]string(nil), c.sortedIDs()...)
+	// The visit list starts from the sorted fleet table and is
+	// shuffled in place per round.
+	visit := append([]*vehicle(nil), c.slots...)
+	c.dl = newDeadline(ctx)
+	c.batchDL = c.batchDL[:0]
+	defer c.releaseDeadlines()
 
 	c.mu.Lock()
 	c.counts = Counts{}
@@ -499,65 +594,65 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 		if c.applyOutages(round) {
 			perturbed = true
 		}
-		c.heartbeat(ctx, round)
-		ids = append(ids, c.admitJoins()...)
-		c.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		c.heartbeat(round)
+		visit = append(visit, c.admitJoins()...)
+		c.rng.Shuffle(len(visit), func(i, j int) { visit[i], visit[j] = visit[j], visit[i] })
 		var maxDelta float64
 		roundSkipped := 0
-		removed := make(map[string]bool)
+		removed := false
 
 		// handleTurn folds one vehicle's turn outcome into the round.
 		// A non-nil return is a terminal run error.
-		handleTurn := func(id string, delta float64, err error) error {
+		handleTurn := func(v *vehicle, delta float64, err error) error {
 			switch {
 			case err == nil:
-				c.consecFails[id] = 0
+				v.consecFails = 0
 				maxDelta = math.Max(maxDelta, delta)
 			case c.cfg.DropDeparted && isDeparture(err) && ctx.Err() == nil:
 				// The vehicle left: free its power and let the rest
 				// re-converge. The released capacity is a real change,
 				// so the round cannot be the converged one.
-				removed[id] = true
-				if c.removeVehicle(id) > 0 {
+				removed = true
+				if c.removeVehicle(v) > 0 {
 					maxDelta = math.Max(maxDelta, c.cfg.Tolerance*2)
 				}
 				c.count(&c.counts.Departed, m.Departed)
-			case c.breakerTrips(id) && ctx.Err() == nil:
+			case c.breakerTrips(v) && ctx.Err() == nil:
 				// Circuit breaker: the vehicle has failed EvictAfter
 				// consecutive turns; treat it as gone so its stranded
 				// allocation stops distorting everyone else's price.
-				c.sayBye(ctx, id, "evicted")
-				removed[id] = true
-				if c.removeVehicle(id) > 0 {
+				c.sayBye(v, "evicted")
+				removed = true
+				if c.removeVehicle(v) > 0 {
 					maxDelta = math.Max(maxDelta, c.cfg.Tolerance*2)
 				}
 				c.count(&c.counts.Evicted, m.Evicted)
 			case (c.cfg.SkipUnresponsive || c.cfg.EvictAfter > 0) && ctx.Err() == nil:
-				c.consecFails[id]++
+				v.consecFails++
 				roundSkipped++
 				c.count(&c.counts.Skipped, m.Skipped)
 			default:
-				return fmt.Errorf("sched: round %d vehicle %s: %w", round, id, err)
+				return fmt.Errorf("sched: round %d vehicle %s: %w", round, v.id, err)
 			}
 			return nil
 		}
 
 		batch := c.cfg.Parallelism
-		if batch > len(ids) {
-			batch = len(ids)
+		if batch > len(visit) {
+			batch = len(visit)
 		}
 		if sequentialNext && batch > 1 {
 			batch = 1
 			c.count(&c.counts.DegradedRounds, m.Degraded)
 		}
 		if batch > 1 {
-			if err := c.runBatchedRound(ctx, ids, round, batch, handleTurn); err != nil {
+			if err := c.runBatchedRound(ctx, visit, round, batch, handleTurn); err != nil {
 				return c.report(rounds, false), err
 			}
 		} else {
-			for _, id := range ids {
-				delta, err := c.updateWithRetries(ctx, id, round)
-				if herr := handleTurn(id, delta, err); herr != nil {
+			for _, v := range visit {
+				delta, err := c.updateWithRetries(ctx, v, round)
+				if herr := handleTurn(v, delta, err); herr != nil {
 					return c.report(rounds, false), herr
 				}
 			}
@@ -571,19 +666,19 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 		sequentialNext = c.cfg.Parallelism > 1 && batch > 1 &&
 			maxDelta >= c.cfg.Tolerance && maxDelta >= prevDelta
 		prevDelta = maxDelta
-		if len(removed) > 0 {
-			kept := ids[:0]
-			for _, id := range ids {
-				if !removed[id] {
-					kept = append(kept, id)
+		if removed {
+			kept := visit[:0]
+			for _, v := range visit {
+				if c.index[v.id] == v {
+					kept = append(kept, v)
 				}
 			}
-			ids = kept
+			visit = kept
 		}
 		rounds = round
 		c.lastRound = round
 		m.observeRound(round, c.epoch, maxDelta, c.liveCount())
-		if len(ids) == 0 {
+		if len(visit) == 0 {
 			converged = true
 			break
 		}
@@ -615,8 +710,17 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 	}
 	report := c.report(rounds, converged)
 	report.CheckpointSaved, report.FellBack = saved, fellBack
-	c.broadcastDone(ctx, report)
+	c.broadcastDone(report)
 	return report, nil
+}
+
+// releaseDeadlines frees the run's exchange deadlines: no timer stays
+// armed and no registration stays on the run's ctx once Run returns.
+func (c *Coordinator) releaseDeadlines() {
+	c.dl.release()
+	for _, dl := range c.batchDL {
+		dl.release()
+	}
 }
 
 // report snapshots the run so far. Every return path of Run builds its
@@ -631,15 +735,15 @@ func (c *Coordinator) report(rounds int, converged bool) Report {
 		CongestionDegree: c.CongestionDegree(),
 		WelfareCost:      c.welfareCost(),
 		TotalPowerKW:     c.totalPower(),
-		Requests:         make(map[string]float64, len(c.schedule)),
+		Requests:         make(map[string]float64, len(c.slots)),
 		Counts:           counts,
 		FinalEpoch:       c.epoch,
-		Schedule:         make(map[string][]float64, len(c.schedule)),
+		Schedule:         make(map[string][]float64, len(c.slots)),
 		LiveSections:     c.liveCount(),
 	}
-	for id, row := range c.schedule {
-		r.Requests[id] = sum(row)
-		r.Schedule[id] = append([]float64(nil), row...)
+	for _, v := range c.slots {
+		r.Requests[v.id] = sum(v.row)
+		r.Schedule[v.id] = append([]float64(nil), v.row...)
 	}
 	return r
 }
@@ -670,7 +774,7 @@ func (c *Coordinator) renewLease() error {
 	if id == "" {
 		id = "primary"
 	}
-	ok, err := c.cfg.Lease.Renew(id, c.epoch, ttl, time.Now())
+	ok, err := c.cfg.Lease.Renew(id, c.epoch, ttl, now())
 	if err != nil {
 		return fmt.Errorf("sched: renew lease: %w", err)
 	}
@@ -706,7 +810,7 @@ func (c *Coordinator) applyFeed(round int) bool {
 		return false
 	}
 	c.cfg.Cost = spec
-	c.cost = cost
+	c.setCost(cost)
 	c.epoch++ // every outstanding quote priced a β that no longer exists
 	c.count(&c.counts.FeedChanges, c.cfg.Metrics.FeedChanges)
 	return true
@@ -726,6 +830,7 @@ func (c *Coordinator) applyOutages(round int) bool {
 		}
 		if o.UpRound == round && !c.live[o.Section] {
 			c.live[o.Section] = true
+			c.refreshLive()
 			c.epoch++
 			c.count(&c.counts.RestoresApplied, m.Restores)
 			m.Sink.Emit(obs.EventRestore, "coordinator", int32(round), int32(c.epoch), float64(o.Section))
@@ -743,8 +848,10 @@ func (c *Coordinator) applyOutages(round int) bool {
 // water-fills now run over the compacted live vector.
 func (c *Coordinator) killSection(sec int) {
 	c.live[sec] = false
+	c.refreshLive()
 	nLive := c.liveCount()
-	for _, row := range c.schedule {
+	for _, v := range c.slots {
+		row := v.row
 		mass := row[sec]
 		row[sec] = 0
 		if mass <= 0 || nLive == 0 {
@@ -775,62 +882,39 @@ func (c *Coordinator) eventsPending(round int) bool {
 // heartbeat broadcasts the liveness beacon when the round is due one.
 // Best-effort: a lost heartbeat costs an agent at most one degraded
 // episode, which the next quote repairs.
-func (c *Coordinator) heartbeat(ctx context.Context, round int) {
+func (c *Coordinator) heartbeat(round int) {
 	if c.cfg.HeartbeatEvery <= 0 || round%c.cfg.HeartbeatEvery != 0 {
 		return
 	}
-	for _, link := range c.links {
-		hctx, cancel := context.WithTimeout(ctx, c.cfg.RoundTimeout)
-		_ = v2i.SendMsg(hctx, link, v2i.TypeHeartbeat, "smart-grid", c.nextSeq(), &v2i.Heartbeat{
+	for _, v := range c.slots {
+		c.dl.arm(c.cfg.RoundTimeout)
+		_ = v2i.SendMsg(c.dl, v.link, v2i.TypeHeartbeat, "smart-grid", c.nextSeq(), &v2i.Heartbeat{
 			Epoch: c.epoch, Round: round,
 		})
-		cancel()
+		c.dl.disarm()
 	}
 }
 
 // liveCount returns the number of energized sections.
 func (c *Coordinator) liveCount() int {
-	n := 0
-	for _, ok := range c.live {
-		if ok {
-			n++
-		}
+	if c.liveIdx == nil {
+		return len(c.live)
 	}
-	return n
+	return len(c.liveIdx)
 }
 
-// liveIndices returns the energized sections' indices, or nil when all
-// sections are live (the fast path: no compaction needed).
-func (c *Coordinator) liveIndices() []int {
-	if c.liveCount() == len(c.live) {
-		return nil
-	}
-	idx := make([]int, 0, len(c.live))
+// refreshLive recomputes liveIdx after live changed.
+func (c *Coordinator) refreshLive() {
+	idx := c.liveIdx[:0]
 	for i, ok := range c.live {
 		if ok {
 			idx = append(idx, i)
 		}
 	}
-	return idx
-}
-
-// compactTo gathers vs at the given indices.
-func compactTo(vs []float64, idx []int) []float64 {
-	out := make([]float64, len(idx))
-	for i, j := range idx {
-		out[i] = vs[j]
+	if len(idx) == len(c.live) {
+		idx = nil
 	}
-	return out
-}
-
-// scatterFrom spreads a compacted vector back to full width, zeroes
-// elsewhere.
-func scatterFrom(vs []float64, idx []int, width int) []float64 {
-	out := make([]float64, width)
-	for i, j := range idx {
-		out[j] = vs[i]
-	}
-	return out
+	c.liveIdx = idx
 }
 
 // isDeparture reports whether an exchange failure means the vehicle's
@@ -854,41 +938,28 @@ var errOwnDesync = errors.New("sched: batch answer computed on desynced own row"
 
 // breakerTrips reports whether this failed turn is the vehicle's
 // EvictAfter-th consecutive failure.
-func (c *Coordinator) breakerTrips(id string) bool {
-	return c.cfg.EvictAfter > 0 && c.consecFails[id]+1 >= c.cfg.EvictAfter
+func (c *Coordinator) breakerTrips(v *vehicle) bool {
+	return c.cfg.EvictAfter > 0 && v.consecFails+1 >= c.cfg.EvictAfter
 }
 
-// removeVehicle zeroes a departed vehicle's schedule, forgets its
-// session state, and closes its link, returning the power it released.
-// Releasing power changes every other vehicle's background load, so
-// the epoch advances.
-func (c *Coordinator) removeVehicle(id string) float64 {
-	released := sum(c.schedule[id])
-	delete(c.schedule, id)
-	c.order = nil
-	delete(c.lastSeq, id)
-	delete(c.consecFails, id)
-	c.mu.Lock()
-	delete(c.sentRow, id)
-	c.mu.Unlock()
-	if link, ok := c.links[id]; ok {
-		_ = link.Close()
-		delete(c.links, id)
-	}
+// removeVehicle zeroes a departed vehicle's schedule, drops its slot,
+// and closes its link, returning the power it released. Releasing
+// power changes every other vehicle's background load, so the epoch
+// advances.
+func (c *Coordinator) removeVehicle(v *vehicle) float64 {
+	released := sum(v.row)
+	c.dropSlot(v)
+	_ = v.link.Close()
 	c.epoch++
 	return released
 }
 
 // sayBye sends a best-effort Bye before an eviction so a live but
 // unlucky agent exits cleanly instead of blocking on Recv forever.
-func (c *Coordinator) sayBye(ctx context.Context, id, reason string) {
-	link, ok := c.links[id]
-	if !ok {
-		return
-	}
-	bctx, cancel := context.WithTimeout(ctx, c.cfg.RoundTimeout)
-	defer cancel()
-	_ = v2i.SendMsg(bctx, link, v2i.TypeBye, "smart-grid", c.nextSeq(), &v2i.Bye{Reason: reason})
+func (c *Coordinator) sayBye(v *vehicle, reason string) {
+	c.dl.arm(c.cfg.RoundTimeout)
+	defer c.dl.disarm()
+	_ = v2i.SendMsg(c.dl, v.link, v2i.TypeBye, "smart-grid", c.nextSeq(), &v2i.Bye{Reason: reason})
 }
 
 // maxBackoffStep caps the exponential backoff at 2^maxBackoffStep
@@ -901,20 +972,20 @@ const maxBackoffStep = 5
 // frame all look the same from here — a timed-out exchange — and a
 // fresh quote resynchronizes both sides, because agents answer every
 // quote independently and stale answers are filtered by epoch.
-func (c *Coordinator) updateWithRetries(ctx context.Context, id string, round int) (float64, error) {
-	deadline := time.Now().Add(c.exchangeDeadline)
+func (c *Coordinator) updateWithRetries(ctx context.Context, v *vehicle, round int) (float64, error) {
+	deadline := now().Add(c.exchangeDeadline)
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			c.count(&c.counts.Retries, c.cfg.Metrics.Retries)
-			if err := c.backoff(ctx, attempt); err != nil {
+			if err := c.backoff(ctx, c.dl, attempt); err != nil {
 				break
 			}
-			if time.Now().After(deadline) {
+			if now().After(deadline) {
 				break
 			}
 		}
-		delta, err := c.updateOne(ctx, id, round)
+		delta, err := c.updateOne(c.dl, v, round)
 		if err == nil {
 			return delta, nil
 		}
@@ -929,20 +1000,20 @@ func (c *Coordinator) updateWithRetries(ctx context.Context, id string, round in
 // collectWithRetries is the retry loop around the network half of an
 // exchange, used by the batched rounds; the install half runs later on
 // Run's goroutine. Retry structure mirrors updateWithRetries.
-func (c *Coordinator) collectWithRetries(ctx context.Context, id string, round int, others, totals []float64, epoch uint64) (v2i.Request, error) {
-	deadline := time.Now().Add(c.exchangeDeadline)
+func (c *Coordinator) collectWithRetries(ctx context.Context, dl *deadline, v *vehicle, round int, others, totals []float64, epoch uint64) (v2i.Request, error) {
+	deadline := now().Add(c.exchangeDeadline)
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			c.count(&c.counts.Retries, c.cfg.Metrics.Retries)
-			if err := c.backoff(ctx, attempt); err != nil {
+			if err := c.backoff(ctx, dl, attempt); err != nil {
 				break
 			}
-			if time.Now().After(deadline) {
+			if now().After(deadline) {
 				break
 			}
 		}
-		req, err := c.collectRequest(ctx, id, round, others, totals, epoch)
+		req, err := c.collectRequest(dl, v, round, others, totals, epoch)
 		if err == nil {
 			return req, nil
 		}
@@ -959,39 +1030,44 @@ func (c *Coordinator) collectWithRetries(ctx context.Context, id string, round i
 // the requests are collected concurrently — overlapping the V2I round
 // trips that dominate a distributed round — then water-filled in
 // stable block order on this goroutine. Only the collection phase runs
-// concurrently; every schedule/epoch mutation stays on Run's
-// goroutine, between blocks.
-func (c *Coordinator) runBatchedRound(ctx context.Context, ids []string, round, batch int, handleTurn func(string, float64, error) error) error {
+// concurrently, each batch slot under its own deadline; every
+// schedule/epoch mutation stays on Run's goroutine, between blocks.
+func (c *Coordinator) runBatchedRound(ctx context.Context, visit []*vehicle, round, batch int, handleTurn func(*vehicle, float64, error) error) error {
+	for len(c.batchDL) < batch {
+		c.batchDL = append(c.batchDL, newDeadline(ctx))
+	}
+	for len(c.batchOthers) < batch {
+		c.batchOthers = append(c.batchOthers, make([]float64, c.cfg.NumSections))
+	}
 	reqs := make([]v2i.Request, batch)
 	errs := make([]error, batch)
-	others := make([][]float64, batch)
-	for lo := 0; lo < len(ids); lo += batch {
+	for lo := 0; lo < len(visit); lo += batch {
 		hi := lo + batch
-		if hi > len(ids) {
-			hi = len(ids)
+		if hi > len(visit) {
+			hi = len(visit)
 		}
-		group := ids[lo:hi]
+		group := visit[lo:hi]
 		epoch := c.epoch
 		// One totals vector serves the whole block: every quote in it is
 		// against the same frozen background load, and on the binary
 		// wire the block shares the identical Totals payload.
 		totals := c.totalsVec()
 		var wg sync.WaitGroup
-		for i, id := range group {
-			others[i] = othersFrom(totals, c.schedule[id])
+		for i, v := range group {
+			c.batchOthers[i] = othersFrom(c.batchOthers[i], totals, v.row)
 			wg.Add(1)
-			go func(i int, id string) {
+			go func(i int, v *vehicle) {
 				defer wg.Done()
-				reqs[i], errs[i] = c.collectWithRetries(ctx, id, round, others[i], totals, epoch)
-			}(i, id)
+				reqs[i], errs[i] = c.collectWithRetries(ctx, c.batchDL[i], v, round, c.batchOthers[i], totals, epoch)
+			}(i, v)
 		}
 		wg.Wait()
-		for i, id := range group {
+		for i, v := range group {
 			delta, err := 0.0, errs[i]
 			if err == nil {
-				delta, err = c.installRequest(ctx, id, round, others[i], reqs[i])
+				delta, err = c.installRequest(c.dl, v, round, c.batchOthers[i], reqs[i])
 			}
-			if herr := handleTurn(id, delta, err); herr != nil {
+			if herr := handleTurn(v, delta, err); herr != nil {
 				return herr
 			}
 		}
@@ -1002,10 +1078,11 @@ func (c *Coordinator) runBatchedRound(ctx context.Context, ids []string, round, 
 	return nil
 }
 
-// backoff sleeps RetryBackoff·2^(attempt−1) with jitter in the upper
+// backoff waits RetryBackoff·2^(attempt−1) with jitter in the upper
 // half of the interval, so re-quotes from many stressed links spread
-// out instead of synchronizing.
-func (c *Coordinator) backoff(ctx context.Context, attempt int) error {
+// out instead of synchronizing. The wait runs on the collector's
+// deadline, so cancelling the run ends it at once.
+func (c *Coordinator) backoff(ctx context.Context, dl *deadline, attempt int) error {
 	shift := attempt - 1
 	if shift > maxBackoffStep {
 		shift = maxBackoffStep
@@ -1014,132 +1091,122 @@ func (c *Coordinator) backoff(ctx context.Context, attempt int) error {
 	c.mu.Lock()
 	jitter := time.Duration(c.rng.Int63n(int64(ceil/2) + 1))
 	c.mu.Unlock()
-	d := ceil/2 + jitter
-	select {
-	case <-time.After(d):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	dl.arm(ceil/2 + jitter)
+	<-dl.Done()
+	dl.disarm()
+	return ctx.Err()
 }
 
 // updateOne performs one vehicle's quote → request → schedule exchange
 // and returns |Δp_n|: the sequential composition of the network half
 // (collectRequest) and the scheduling half (installRequest).
-func (c *Coordinator) updateOne(ctx context.Context, id string, round int) (float64, error) {
+func (c *Coordinator) updateOne(dl *deadline, v *vehicle, round int) (float64, error) {
 	totals := c.totalsVec()
-	others := othersFrom(totals, c.schedule[id])
-	req, err := c.collectRequest(ctx, id, round, others, totals, c.epoch)
+	c.others = othersFrom(c.others, totals, v.row)
+	req, err := c.collectRequest(dl, v, round, c.others, totals, c.epoch)
 	if err != nil {
 		return 0, err
 	}
-	return c.installRequest(ctx, id, round, others, req)
+	return c.installRequest(dl, v, round, c.others, req)
 }
 
 // collectRequest is the network half of an exchange: quote Ψ_n against
-// the given background load, then wait for a fresh answer. The receive
-// side filters the realities of a lossy link: replayed frames
-// (sequence number at or below the last accepted one) and
-// best-responses to an outdated quote (epoch mismatch) are counted and
-// discarded, never water-filled. It never touches the schedule (only
-// the mu-guarded sentRow cache), so batched rounds run it concurrently
-// for several vehicles.
+// the given background load, then wait for a fresh answer, all under
+// one arming of the collector's deadline. The receive side filters the
+// realities of a lossy link: replayed frames (sequence number at or
+// below the last accepted one) and best-responses to an outdated quote
+// (epoch mismatch) are counted and discarded, never water-filled. It
+// touches only the vehicle's own slot, never the schedule, so batched
+// rounds run it concurrently for several vehicles.
 //
 // When totals is non-nil and the link is a binary connection, the
 // quote goes out as a QuoteBatch: the shared section totals instead of
 // a per-vehicle background vector, with the vehicle's own row elided
-// whenever the sentRow cache proves the vehicle already holds it bit
-// for bit. The agent reconstructs others = totals − own locally and
-// echoes a checksum of the own row it used; a checksum mismatch
-// invalidates the cache and retries with the row inlined.
-func (c *Coordinator) collectRequest(ctx context.Context, id string, round int, others, totals []float64, epoch uint64) (v2i.Request, error) {
-	link := c.links[id]
-	rctx, cancel := context.WithTimeout(ctx, c.cfg.RoundTimeout)
-	defer cancel()
+// whenever the slot's sent copy proves the vehicle already holds it
+// bit for bit. The agent reconstructs others = totals − own locally
+// and echoes a checksum of the own row it used; a checksum mismatch
+// invalidates the copy and retries with the row inlined.
+func (c *Coordinator) collectRequest(dl *deadline, v *vehicle, round int, others, totals []float64, epoch uint64) (v2i.Request, error) {
+	dl.arm(c.cfg.RoundTimeout)
+	defer dl.disarm()
 
 	var liveMask []bool
-	if c.liveCount() != len(c.live) {
-		liveMask = append([]bool(nil), c.live...)
+	if c.liveIdx != nil {
+		liveMask = c.live
 	}
-	batched := totals != nil && v2i.WireOf(link) == v2i.WireBinary
+	batched := totals != nil && v2i.WireOf(v.link) == v2i.WireBinary
 	if batched {
-		row := c.schedule[id]
 		var own []float64
-		if !c.rowInSync(id, row) {
-			own = append([]float64(nil), row...)
+		if !v.inSync() {
+			own = v.row
 		}
-		err := v2i.SendMsg(rctx, link, v2i.TypeQuoteBatch, "smart-grid", c.nextSeq(), &v2i.QuoteBatch{
-			Round: round, Epoch: epoch, FleetSize: len(c.schedule),
+		err := v2i.SendMsg(dl, v.link, v2i.TypeQuoteBatch, "smart-grid", c.nextSeq(), &v2i.QuoteBatch{
+			Round: round, Epoch: epoch, FleetSize: len(c.slots),
 			Cost: c.cfg.Cost, Live: liveMask, Totals: totals, Own: own,
 		})
 		if err != nil {
 			return v2i.Request{}, fmt.Errorf("send quote: %w", err)
 		}
 	} else {
-		err := v2i.SendMsg(rctx, link, v2i.TypeQuote, "smart-grid", c.nextSeq(), &v2i.Quote{
-			VehicleID: id, Others: others, Cost: c.cfg.Cost, Round: round, Epoch: epoch,
-			FleetSize: len(c.schedule), Live: liveMask,
+		err := v2i.SendMsg(dl, v.link, v2i.TypeQuote, "smart-grid", c.nextSeq(), &v2i.Quote{
+			VehicleID: v.id, Others: others, Cost: c.cfg.Cost, Round: round, Epoch: epoch,
+			FleetSize: len(c.slots), Live: liveMask,
 		})
 		if err != nil {
 			return v2i.Request{}, fmt.Errorf("send quote: %w", err)
 		}
 	}
-	c.cfg.Metrics.observeQuote(id, round, epoch, len(c.schedule))
+	c.cfg.Metrics.observeQuote(v.id, round, epoch, len(c.slots))
 
-	var req v2i.Request
+	req := &v.req
 	for {
-		reply, err := link.Recv(rctx)
+		reply, err := v.link.Recv(dl)
 		if err != nil {
 			return v2i.Request{}, fmt.Errorf("recv request: %w", err)
 		}
 		if reply.Type == v2i.TypeBye {
 			return v2i.Request{}, errVehicleLeft
 		}
-		if !c.acceptSeq(id, reply.Seq) {
+		if !c.acceptSeq(v, reply.Seq) {
 			continue // duplicated or replayed frame
 		}
 		if reply.Type != v2i.TypeRequest {
 			c.countStale() // e.g. a re-sent Hello; not this exchange's answer
 			continue
 		}
-		// Decode into a fresh Request: decoding merges, so reusing one
-		// would let an omitted field inherit a discarded reply's value.
-		var r v2i.Request
-		if err := v2i.Open(reply, v2i.TypeRequest, &r); err != nil {
+		// Decoding merges, so every field but the ID string's storage
+		// is reset first: an omitted field must not inherit a
+		// discarded reply's value.
+		*req = v2i.Request{VehicleID: req.VehicleID}
+		if err := v2i.Open(reply, v2i.TypeRequest, req); err != nil {
 			return v2i.Request{}, err
 		}
-		if r.Epoch != epoch {
+		if req.Epoch != epoch {
 			c.countStale() // best-response against an outdated background load
 			continue
 		}
-		req = r
 		break
 	}
 	if req.TotalKW < 0 || math.IsNaN(req.TotalKW) || math.IsInf(req.TotalKW, 0) {
 		return v2i.Request{}, fmt.Errorf("invalid request %v", req.TotalKW)
 	}
-	if batched && math.Float64bits(req.OwnKWSum) != math.Float64bits(sum(c.schedule[id])) {
-		c.mu.Lock()
-		delete(c.sentRow, id)
-		c.mu.Unlock()
+	if batched && math.Float64bits(req.OwnKWSum) != math.Float64bits(sum(v.row)) {
+		v.synced = false
 		c.countStale()
 		return v2i.Request{}, errOwnDesync
 	}
-	return req, nil
+	return *req, nil
 }
 
-// rowInSync reports whether the vehicle's cached acknowledged row is
-// bit-identical to the live schedule row, i.e. the batch quote may
-// elide it.
-func (c *Coordinator) rowInSync(id string, row []float64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cached, ok := c.sentRow[id]
-	if !ok || len(cached) != len(row) {
+// inSync reports whether the vehicle's acknowledged row is
+// bit-identical to its live schedule row, i.e. a batch quote may elide
+// it.
+func (v *vehicle) inSync() bool {
+	if !v.synced {
 		return false
 	}
-	for i := range row {
-		if math.Float64bits(cached[i]) != math.Float64bits(row[i]) {
+	for i := range v.row {
+		if math.Float64bits(v.sent[i]) != math.Float64bits(v.row[i]) {
 			return false
 		}
 	}
@@ -1148,17 +1215,13 @@ func (c *Coordinator) rowInSync(id string, row []float64) bool {
 
 // acceptSeq records an envelope sequence number, reporting whether the
 // frame is fresh; replays are counted as stale.
-func (c *Coordinator) acceptSeq(id string, seq uint64) bool {
-	c.mu.Lock()
-	fresh := seq > c.lastSeq[id]
-	if fresh {
-		c.lastSeq[id] = seq
-	}
-	c.mu.Unlock()
-	if !fresh {
+func (c *Coordinator) acceptSeq(v *vehicle, seq uint64) bool {
+	if seq <= v.lastSeq {
 		c.countStale()
+		return false
 	}
-	return fresh
+	v.lastSeq = seq
+	return true
 }
 
 // countStale records one discarded frame.
@@ -1175,52 +1238,58 @@ func (c *Coordinator) nextSeq() uint64 {
 }
 
 // installRequest is the scheduling half of an exchange: water-fill the
-// request against the background load it was quoted on, advance the
-// epoch, and send the vehicle its allocation and payment. Always runs
-// on Run's goroutine.
-func (c *Coordinator) installRequest(ctx context.Context, id string, round int, others []float64, req v2i.Request) (float64, error) {
-	before := sum(c.schedule[id])
-	var alloc []float64
+// request against the background load it was quoted on into the
+// vehicle's row, advance the epoch, and send the vehicle its
+// allocation and payment. Always runs on Run's goroutine.
+func (c *Coordinator) installRequest(dl *deadline, v *vehicle, round int, others []float64, req v2i.Request) (float64, error) {
+	before := sum(v.row)
 	var payment float64
-	if idx := c.liveIndices(); idx != nil {
+	if idx := c.liveIdx; idx != nil {
 		// Dead sections take no power: water-fill and price over the
 		// compacted live vector, then scatter back with zeroed holes.
-		oc := compactTo(others, idx)
-		var ac []float64
-		if req.DrawCapKW > 0 {
-			ac, _ = core.PerDrawWaterFill(oc, req.DrawCapKW, req.TotalKW)
-		} else {
-			ac, _ = core.WaterFill(oc, req.TotalKW)
+		oc := c.compact[:len(idx)]
+		for i, j := range idx {
+			oc[i] = others[j]
 		}
-		alloc = scatterFrom(ac, idx, c.cfg.NumSections)
-		payment = core.Payment(c.costVectorN(len(idx)), oc, ac)
+		ac := waterFill(oc, req)
+		payment = core.Payment(c.costs[:len(idx)], oc, ac)
+		clear(v.row)
+		for i, j := range idx {
+			v.row[j] = ac[i]
+		}
 	} else {
-		if req.DrawCapKW > 0 {
-			alloc, _ = core.PerDrawWaterFill(others, req.DrawCapKW, req.TotalKW)
-		} else {
-			alloc, _ = core.WaterFill(others, req.TotalKW)
-		}
-		payment = core.Payment(c.costVector(), others, alloc)
+		alloc := waterFill(others, req)
+		payment = core.Payment(c.costs, others, alloc)
+		copy(v.row, alloc)
 	}
-	c.schedule[id] = alloc
 	c.epoch++ // the background load everyone else was quoted has moved
 
-	sctx, cancel := context.WithTimeout(ctx, c.cfg.RoundTimeout)
-	defer cancel()
-	err := v2i.SendMsg(sctx, c.links[id], v2i.TypeSchedule, "smart-grid", c.nextSeq(), &v2i.ScheduleMsg{
-		VehicleID: id, AllocKW: alloc, PaymentH: payment, Round: round,
+	dl.arm(c.cfg.RoundTimeout)
+	defer dl.disarm()
+	err := v2i.SendMsg(dl, v.link, v2i.TypeSchedule, "smart-grid", c.nextSeq(), &v2i.ScheduleMsg{
+		VehicleID: v.id, AllocKW: v.row, PaymentH: payment, Round: round,
 	})
 	if err != nil {
 		return 0, fmt.Errorf("send schedule: %w", err)
 	}
 	// The vehicle now holds this exact row (both wires transmit exact
-	// float bits), so future batch quotes may elide it. Cache a copy —
+	// float bits), so future batch quotes may elide it. Keep a copy —
 	// outage handling mutates schedule rows in place.
-	c.mu.Lock()
-	c.sentRow[id] = append([]float64(nil), alloc...)
-	c.mu.Unlock()
-	c.cfg.Metrics.observePropose(id, round, c.epoch, req.TotalKW)
+	copy(v.sent, v.row)
+	v.synced = true
+	c.cfg.Metrics.observePropose(v.id, round, c.epoch, req.TotalKW)
 	return math.Abs(req.TotalKW - before), nil
+}
+
+// waterFill places a request's total at minimum cost over others,
+// under the vehicle's Eq. (3) draw cap when it declared one.
+func waterFill(others []float64, req v2i.Request) []float64 {
+	if req.DrawCapKW > 0 {
+		alloc, _ := core.PerDrawWaterFill(others, req.DrawCapKW, req.TotalKW)
+		return alloc
+	}
+	alloc, _ := core.WaterFill(others, req.TotalKW)
+	return alloc
 }
 
 // saveCheckpoint journals the converged schedule as the new
@@ -1238,12 +1307,10 @@ func (c *Coordinator) saveCheckpoint(round int) bool {
 		Round:       round,
 		NumSections: c.cfg.NumSections,
 		Seq:         seq,
-		Schedule:    make(map[string][]float64, len(c.schedule)),
+		Schedule:    make(map[string][]float64, len(c.slots)),
 	}
-	for id, row := range c.schedule {
-		r := make([]float64, len(row))
-		copy(r, row)
-		cp.Schedule[id] = r
+	for _, v := range c.slots {
+		cp.Schedule[v.id] = append([]float64(nil), v.row...)
 	}
 	saved := c.cfg.Journal.Save(cp) == nil
 	if saved {
@@ -1274,12 +1341,11 @@ func (c *Coordinator) restoreCheckpoint(cp Checkpoint) bool {
 	if cp.NumSections != c.cfg.NumSections {
 		return false
 	}
-	for id := range c.schedule {
-		row := make([]float64, c.cfg.NumSections)
-		if saved, ok := cp.Schedule[id]; ok && len(saved) == c.cfg.NumSections {
-			copy(row, saved)
+	for _, v := range c.slots {
+		clear(v.row)
+		if saved, ok := cp.Schedule[v.id]; ok && len(saved) == c.cfg.NumSections {
+			copy(v.row, saved)
 		}
-		c.schedule[id] = row
 	}
 	if cp.Epoch >= c.epoch {
 		c.epoch = cp.Epoch
@@ -1290,63 +1356,51 @@ func (c *Coordinator) restoreCheckpoint(cp Checkpoint) bool {
 
 // broadcastDone tells every agent the game is over. Failures here are
 // deliberately ignored: agents also exit on transport close.
-func (c *Coordinator) broadcastDone(ctx context.Context, report Report) {
-	for _, link := range c.links {
-		bctx, cancel := context.WithTimeout(ctx, c.cfg.RoundTimeout)
-		_ = v2i.SendMsg(bctx, link, v2i.TypeConverged, "smart-grid", c.nextSeq(), &v2i.Converged{
+func (c *Coordinator) broadcastDone(report Report) {
+	for _, v := range c.slots {
+		c.dl.arm(c.cfg.RoundTimeout)
+		_ = v2i.SendMsg(c.dl, v.link, v2i.TypeConverged, "smart-grid", c.nextSeq(), &v2i.Converged{
 			Rounds:           report.Rounds,
 			CongestionDegree: report.CongestionDegree,
 			WelfarePerHour:   -report.WelfareCost,
 		})
-		_ = v2i.SendMsg(bctx, link, v2i.TypeBye, "smart-grid", c.nextSeq(), &v2i.Bye{Reason: "converged"})
-		cancel()
+		_ = v2i.SendMsg(c.dl, v.link, v2i.TypeBye, "smart-grid", c.nextSeq(), &v2i.Bye{Reason: "converged"})
+		c.dl.disarm()
 	}
 }
 
-// totalsVec returns the full P_c vector, accumulated in sorted
-// vehicle-ID order. The order matters: float addition is not
-// associative, so a map-order sum would make the schedule's arithmetic
-// nondeterministic run to run — and the batched wire derives each
-// vehicle's background load as totals − own, which only reproduces the
-// unicast quote bit for bit when both sides build totals the same way.
+// totalsVec returns the full P_c vector in a buffer reused by the next
+// call, summing the rows in slot order, which is sorted vehicle-ID
+// order. The order matters: float addition is not associative, and the
+// batched wire derives each vehicle's background load as totals − own,
+// which reproduces the unicast quote bit for bit only when both sides
+// build totals the same way.
 func (c *Coordinator) totalsVec() []float64 {
-	out := make([]float64, c.cfg.NumSections)
-	for _, id := range c.sortedIDs() {
-		for i, v := range c.schedule[id] {
-			out[i] += v
+	out := c.totals
+	clear(out)
+	for _, v := range c.slots {
+		for i, x := range v.row {
+			out[i] += x
 		}
 	}
 	return out
 }
 
-// sortedIDs returns the scheduled vehicle IDs in sorted order, sorting
-// only after a membership change has reset the cached order.
-func (c *Coordinator) sortedIDs() []string {
-	if c.order == nil {
-		c.order = make([]string, 0, len(c.schedule))
-		for id := range c.schedule {
-			c.order = append(c.order, id)
-		}
-		sort.Strings(c.order)
+// othersFrom derives P_−n as totals − own, elementwise, into dst's
+// storage. This is the exact arithmetic a batch-quoted agent performs
+// locally, so the coordinator uses the same derivation on the unicast
+// path — the two wires then quote bit-identical background loads.
+func othersFrom(dst, totals, own []float64) []float64 {
+	dst = append(dst[:0], totals...)
+	for i := range dst {
+		dst[i] -= own[i]
 	}
-	return c.order
-}
-
-// othersFrom derives P_−n as totals − own, elementwise. This is the
-// exact arithmetic a batch-quoted agent performs locally, so the
-// coordinator uses the same derivation on the unicast path — the two
-// wires then quote bit-identical background loads.
-func othersFrom(totals, own []float64) []float64 {
-	out := append([]float64(nil), totals...)
-	for i := range out {
-		out[i] -= own[i]
-	}
-	return out
+	return dst
 }
 
 // SectionTotals returns the current P_c vector.
 func (c *Coordinator) SectionTotals() []float64 {
-	return c.totalsVec()
+	return append([]float64(nil), c.totalsVec()...)
 }
 
 // CongestionDegree returns Σp / ΣP_line.
@@ -1355,27 +1409,15 @@ func (c *Coordinator) CongestionDegree() float64 {
 }
 
 func (c *Coordinator) totalPower() float64 {
-	return sum(c.SectionTotals())
+	return sum(c.totalsVec())
 }
 
 func (c *Coordinator) welfareCost() float64 {
 	var total float64
-	for _, pc := range c.SectionTotals() {
+	for _, pc := range c.totalsVec() {
 		total += c.cost.Cost(pc)
 	}
 	return total
-}
-
-func (c *Coordinator) costVector() []core.CostFunction {
-	return c.costVectorN(c.cfg.NumSections)
-}
-
-func (c *Coordinator) costVectorN(n int) []core.CostFunction {
-	out := make([]core.CostFunction, n)
-	for i := range out {
-		out[i] = c.cost
-	}
-	return out
 }
 
 func sum(vs []float64) float64 {

@@ -304,7 +304,7 @@ func ResumeCoordinator(cfg CoordinatorConfig, links map[string]v2i.Transport, t 
 			return nil, fmt.Errorf("sched: resume projection: %w", err)
 		}
 		for i, p := range players {
-			c.schedule[p.ID] = proj.Row(i)
+			copy(c.index[p.ID].row, proj.Row(i))
 		}
 		c.restored = true
 	}

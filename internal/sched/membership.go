@@ -45,7 +45,7 @@ func (c *Coordinator) Join(id string, link v2i.Transport) error {
 }
 
 // admitJoins drains the join queue at a round boundary, returning the
-// IDs admitted this round. A join under an ID that is still active is
+// slots admitted this round. A join under an ID that is still active is
 // rejected by closing the new link — the live session wins. A vehicle
 // re-joining under an ID the journal's last-known-good checkpoint
 // knows (a dropout reconnecting after a dead zone, or a lane regular
@@ -53,19 +53,18 @@ func (c *Coordinator) Join(id string, link v2i.Transport) error {
 // zero: the fleet's background load barely moves on re-entry, so the
 // re-convergence is a short trip instead of a cold one. Theorem IV.1
 // makes the seed safe — any feasible start reaches the same optimum.
-func (c *Coordinator) admitJoins() []string {
-	var added []string
+func (c *Coordinator) admitJoins() []*vehicle {
+	var added []*vehicle
 	var cp Checkpoint
 	cpLoaded, cpOK := false, false
 	for {
 		select {
 		case j := <-c.joins:
-			if _, dup := c.links[j.id]; dup {
+			if _, dup := c.index[j.id]; dup {
 				_ = j.link.Close()
 				continue
 			}
-			c.links[j.id] = j.link
-			row := make([]float64, c.cfg.NumSections)
+			v := c.newVehicle(j.id, j.link)
 			if c.cfg.Journal != nil {
 				if !cpLoaded {
 					cp, cpOK, _ = c.cfg.Journal.Load()
@@ -73,17 +72,14 @@ func (c *Coordinator) admitJoins() []string {
 				}
 				if cpOK && cp.NumSections == c.cfg.NumSections {
 					if saved, ok := cp.Schedule[j.id]; ok && len(saved) == c.cfg.NumSections {
-						copy(row, saved)
+						v.row = saved
 					}
 				}
 			}
-			c.schedule[j.id] = row
-			c.order = nil
-			c.lastSeq[j.id] = 0
-			c.consecFails[j.id] = 0
+			c.insertSlot(v)
 			c.epoch++ // quotes must reflect the newcomer's load
 			c.count(&c.counts.Joined, c.cfg.Metrics.Joined)
-			added = append(added, j.id)
+			added = append(added, v)
 		default:
 			return added
 		}
@@ -93,8 +89,8 @@ func (c *Coordinator) admitJoins() []string {
 // AddVehicle registers a new vehicle between episodes (a Coordinator
 // may Run repeatedly as the fleet on the charging lane turns over).
 // It must not be called while Run is executing — use Join for
-// mid-iteration arrivals; the coordinator's maps are deliberately
-// single-threaded, like the smart grid it models.
+// mid-iteration arrivals; the coordinator's fleet table is
+// deliberately single-threaded, like the smart grid it models.
 func (c *Coordinator) AddVehicle(id string, link v2i.Transport) error {
 	if id == "" {
 		return errors.New("sched: vehicle needs an ID")
@@ -102,21 +98,17 @@ func (c *Coordinator) AddVehicle(id string, link v2i.Transport) error {
 	if link == nil {
 		return errors.New("sched: vehicle needs a transport")
 	}
-	if _, dup := c.links[id]; dup {
+	if _, dup := c.index[id]; dup {
 		return fmt.Errorf("sched: vehicle %q already registered", id)
 	}
-	c.links[id] = link
-	c.schedule[id] = make([]float64, c.cfg.NumSections)
-	c.order = nil
-	c.lastSeq[id] = 0
-	c.consecFails[id] = 0
+	c.insertSlot(c.newVehicle(id, link))
 	c.epoch++
 	return nil
 }
 
 // NumVehicles returns the currently registered fleet size. Like
 // AddVehicle it is only meaningful between episodes.
-func (c *Coordinator) NumVehicles() int { return len(c.links) }
+func (c *Coordinator) NumVehicles() int { return len(c.slots) }
 
 // ServeJoins accepts vehicle connections for as long as the listener
 // is open, reading each Hello and queuing the vehicle to join the

@@ -13,20 +13,20 @@ import (
 	"olevgrid/internal/v2i"
 )
 
-// assertTotalsFresh checks the coordinator's cached vehicle order
-// against a fresh sort of the schedule's keys, and SectionTotals bit
+// assertTotalsFresh checks the coordinator's slot order against a
+// fresh sort of the fleet's IDs, and SectionTotals bit
 // for bit against a reference sum taken in that fresh order. Only
 // Run's goroutine (or a caller between Runs) may call it.
 func assertTotalsFresh(t *testing.T, when string, c *Coordinator) {
 	t.Helper()
-	ids := make([]string, 0, len(c.schedule))
-	for id := range c.schedule {
+	ids := make([]string, 0, len(c.index))
+	for id := range c.index {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
 	want := make([]float64, c.cfg.NumSections)
 	for _, id := range ids {
-		for s, v := range c.schedule[id] {
+		for s, v := range c.index[id].row {
 			want[s] += v
 		}
 	}
@@ -36,8 +36,12 @@ func assertTotalsFresh(t *testing.T, when string, c *Coordinator) {
 			t.Fatalf("%s: section %d total %v, fresh-order reference %v", when, s, got[s], want[s])
 		}
 	}
-	if order := c.sortedIDs(); fmt.Sprint(order) != fmt.Sprint(ids) {
-		t.Fatalf("%s: cached order %v, schedule holds %v", when, order, ids)
+	order := make([]string, 0, len(c.slots))
+	for _, v := range c.slots {
+		order = append(order, v.id)
+	}
+	if fmt.Sprint(order) != fmt.Sprint(ids) {
+		t.Fatalf("%s: slot order %v, schedule holds %v", when, order, ids)
 	}
 }
 
@@ -103,10 +107,10 @@ func TestSectionTotalsFollowMembership(t *testing.T) {
 			// The top of a round sees the previous round's changes.
 			assertTotalsFresh(t, fmt.Sprintf("top of round %d", round), coord)
 			checked = append(checked, round)
-			_, hasLeaver := coord.schedule["ev-00"]
-			_, hasJoiner := coord.schedule["ev-joiner"]
-			if round >= 3 && len(coord.schedule) != 4 {
-				t.Fatalf("top of round %d: fleet %d, want 4", round, len(coord.schedule))
+			_, hasLeaver := coord.index["ev-00"]
+			_, hasJoiner := coord.index["ev-joiner"]
+			if round >= 3 && len(coord.slots) != 4 {
+				t.Fatalf("top of round %d: fleet %d, want 4", round, len(coord.slots))
 			}
 			if round == 4 && (hasLeaver || !hasJoiner) {
 				t.Fatalf("top of round 4: round 3 did not swap ev-00 for ev-joiner")
@@ -135,10 +139,20 @@ func TestSectionTotalsFollowMembership(t *testing.T) {
 	if len(checked) < 4 {
 		t.Fatalf("run ended after %d rounds, before the round-3 churn was checked", len(checked))
 	}
-	if _, ok := coord.schedule["ev-joiner"]; !ok || len(coord.schedule) != 4 {
+	if _, ok := coord.index["ev-joiner"]; !ok || len(coord.slots) != 4 {
 		t.Fatalf("final fleet %v, want ev-01, ev-02, ev-early and ev-joiner", report.Requests)
 	}
 	assertTotalsFresh(t, "after Run", coord)
+	// The caller's map follows the fleet, so a successor built over it
+	// (Failover) inherits the joiners and not the leavers.
+	for id := range coord.index {
+		if _, ok := links[id]; !ok {
+			t.Errorf("links lacks fleet member %s", id)
+		}
+	}
+	if len(links) != len(coord.index) {
+		t.Errorf("links holds %d vehicles, the fleet %d", len(links), len(coord.index))
+	}
 
 	// AddVehicle between Runs: the newcomer's row must enter the sum.
 	grid, vehicle := v2i.NewPair(8)
@@ -146,8 +160,8 @@ func TestSectionTotalsFollowMembership(t *testing.T) {
 	if err := coord.AddVehicle("ev-added", grid); err != nil {
 		t.Fatal(err)
 	}
-	for s := range coord.schedule["ev-added"] {
-		coord.schedule["ev-added"][s] = 1.5 + float64(s)/7
+	for s := range coord.index["ev-added"].row {
+		coord.index["ev-added"].row[s] = 1.5 + float64(s)/7
 	}
 	assertTotalsFresh(t, "after AddVehicle", coord)
 	_ = coord.Close()

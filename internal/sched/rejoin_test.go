@@ -51,12 +51,12 @@ func TestAdmitJoinsSeedsRejoinFromJournal(t *testing.T) {
 	}
 
 	want := []float64{1, 2, 3, 4}
-	for i, v := range coord.schedule["ev-rejoin"] {
+	for i, v := range coord.index["ev-rejoin"].row {
 		if v != want[i] {
 			t.Errorf("rejoin section %d seeded %v, want journaled %v", i, v, want[i])
 		}
 	}
-	for i, v := range coord.schedule["ev-new"] {
+	for i, v := range coord.index["ev-new"].row {
 		if v != 0 {
 			t.Errorf("new vehicle section %d seeded %v, want 0", i, v)
 		}
@@ -81,7 +81,7 @@ func TestAdmitJoinsSeedsRejoinFromJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord2.admitJoins()
-	for i, v := range coord2.schedule["ev-rejoin"] {
+	for i, v := range coord2.index["ev-rejoin"].row {
 		if v != 0 {
 			t.Errorf("mismatched checkpoint leaked into section %d: %v", i, v)
 		}

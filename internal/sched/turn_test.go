@@ -1,0 +1,124 @@
+package sched
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"runtime"
+	"sync"
+	"testing"
+
+	"olevgrid/internal/core"
+	"olevgrid/internal/v2i"
+)
+
+// turnBench is a warm in-process fleet at the rush-hour archetype's
+// scale (N=50, C=20): a coordinator and one running agent per vehicle
+// over NewPair links, with no faults, so every turn is a single
+// quote → request → schedule exchange.
+type turnBench struct {
+	coord *Coordinator
+	dl    *deadline
+	ids   []string
+	next  int
+	stop  func()
+}
+
+func newTurnBench(tb testing.TB) *turnBench {
+	tb.Helper()
+	const n, sections = 50, 20
+	links := make(map[string]v2i.Transport, n)
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	ids := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("ev-%03d", i)
+		grid, vehicle := v2i.NewPair(8)
+		agent, err := NewAgent(AgentConfig{
+			VehicleID:    id,
+			MaxPowerKW:   60 + float64(i%5)*8,
+			Satisfaction: core.LogSatisfaction{Weight: 1 + 0.06*float64(i%5)},
+		}, vehicle)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		links[id] = grid
+		ids = append(ids, id)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _ = agent.Run(ctx)
+		}()
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{
+		NumSections: sections, LineCapacityKW: 53.55, Cost: nonlinearSpec(),
+	}, links)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b := &turnBench{coord: coord, dl: newDeadline(ctx), ids: ids}
+	b.stop = func() {
+		b.dl.release()
+		cancel()
+		for _, l := range links {
+			_ = l.Close()
+		}
+		wg.Wait()
+	}
+	// Warm every vehicle's buffers with two full sweeps.
+	for i := 0; i < 2*n; i++ {
+		b.turn(tb)
+	}
+	return b
+}
+
+// turn runs the next vehicle's exchange in round-robin order.
+func (b *turnBench) turn(tb testing.TB) {
+	v := b.coord.index[b.ids[b.next%len(b.ids)]]
+	b.next++
+	if _, err := b.coord.updateOne(b.dl, v, 1+b.next/len(b.ids)); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestTurnAllocBudget pins what one warm, retry-free turn allocates,
+// coordinator and agent together, as the whole process's mallocs over
+// 2000 turns divided by the turn count. The agent's decode of the last
+// schedule lands after the count and a previous turn's lands inside
+// it, so the quotient is a whole turn's worth; rounding absorbs the
+// runtime's rare allocations of its own. What a turn still allocates
+// is its messages — the coordinator's quote and schedule structs, which
+// escape through SendMsg, and the three sealed bodies — and the
+// water-fill's result and sort buffer.
+func TestTurnAllocBudget(t *testing.T) {
+	const budget = 7
+	b := newTurnBench(t)
+	defer b.stop()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const turns = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < turns; i++ {
+		b.turn(t)
+	}
+	runtime.ReadMemStats(&after)
+	perTurn := float64(after.Mallocs-before.Mallocs) / turns
+	t.Logf("%.2f mallocs/turn, %.0f bytes/turn (N=50, C=20)",
+		perTurn, float64(after.TotalAlloc-before.TotalAlloc)/turns)
+	if got := math.Round(perTurn); got != budget {
+		t.Fatalf("a turn allocates %v times, budget %d", got, budget)
+	}
+}
+
+// BenchmarkTurn measures the same warm turn as TestTurnAllocBudget.
+//
+//	go test ./internal/sched -run '^$' -bench Turn -benchmem
+func BenchmarkTurn(b *testing.B) {
+	tb := newTurnBench(b)
+	defer tb.stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tb.turn(b)
+	}
+}

@@ -195,6 +195,21 @@ func chaosFor(spec SessionSpec, i int) v2i.FaultConfig {
 	}
 }
 
+// fleetLinkBuffer sizes each direction of a fleet vehicle's in-memory
+// link. Every exchange is a rendezvous: the grid sends a quote or a
+// schedule and then waits for the agent, so grid frames pile up only
+// once an agent has stopped reading, which it does at the first Bye it
+// reads. At the end of a session the grid sends three frames —
+// Converged and Bye from Run, then Close's Bye — and the chaos
+// injector may duplicate each and release one earlier frame it held
+// back to reorder: at most 7, of which the agent reads at least the
+// Bye it stops on. Eight slots therefore never make a farewell Bye
+// wait out the coordinator's ShutdownGrace, at 16 Envelope slots
+// (~1.3 KB) per vehicle. The vehicle's direction
+// carries one request per quote (two with a duplicate), which the
+// coordinator drains on its next exchange with that vehicle.
+const fleetLinkBuffer = 8
+
 // launchVehicle wires one agent over an in-memory pair and starts its
 // Run goroutine, returning the grid-side transport. A "binary" wire
 // spec swaps the channel pair for a connection-backed pipe pair, so the
@@ -205,7 +220,7 @@ func (f *fleet) launchVehicle(ctx context.Context, spec SessionSpec, id string, 
 		gridSide, vehicleSide = v2i.NewPipePair()
 		f.raw = append(f.raw, vehicleSide)
 	} else {
-		gridSide, vehicleSide = v2i.NewPair(64)
+		gridSide, vehicleSide = v2i.NewPair(fleetLinkBuffer)
 	}
 	f.raw = append(f.raw, gridSide)
 	var gl, vl v2i.Transport = gridSide, vehicleSide

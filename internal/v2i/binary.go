@@ -434,12 +434,18 @@ func (r *binReader) i32() int { return int(int32(r.u32())) }
 
 func (r *binReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
-// str decodes a u16-length-prefixed string, interning through d when
-// non-nil so repeated IDs on one connection cost one allocation ever.
-func (r *binReader) str(d *FrameDecoder) string {
+// str decodes a u16-length-prefixed string. It returns old, the
+// destination's current value, when the bytes equal it, so opening
+// into a reused target allocates no repeated ID; otherwise it interns
+// through d when non-nil, so repeated IDs on one connection cost one
+// allocation ever.
+func (r *binReader) str(d *FrameDecoder, old string) string {
 	b := r.take(int(r.u16()))
 	if len(b) == 0 {
 		return ""
+	}
+	if string(b) == old {
+		return old
 	}
 	if d != nil {
 		return d.intern(b)
@@ -617,7 +623,7 @@ func (d *FrameDecoder) parsePayload(p []byte) (Envelope, error) {
 	r := binReader{b: p}
 	code := r.u8()
 	codec := r.u8()
-	from := r.str(d)
+	from := r.str(d, "")
 	seq := r.u64()
 	if r.err {
 		return Envelope{}, fmt.Errorf("v2i: binary payload of %d bytes: truncated header", len(p))
@@ -645,12 +651,12 @@ func decodeBinaryBody(typ MessageType, body []byte, d *FrameDecoder, out any) er
 	r := binReader{b: body}
 	switch m := out.(type) {
 	case *Hello:
-		m.VehicleID = r.str(d)
+		m.VehicleID = r.str(d, m.VehicleID)
 		m.MaxPowerKW = r.f64()
 		m.VelocityMS = r.f64()
 		m.SOC = r.f64()
 	case *Quote:
-		m.VehicleID = r.str(d)
+		m.VehicleID = r.str(d, m.VehicleID)
 		m.Others = r.f64s(m.Others)
 		decodeCostSpec(&r, d, &m.Cost)
 		m.Round = r.i32()
@@ -666,14 +672,14 @@ func decodeBinaryBody(typ MessageType, body []byte, d *FrameDecoder, out any) er
 		m.Totals = r.f64s(m.Totals)
 		m.Own = r.f64s(m.Own)
 	case *Request:
-		m.VehicleID = r.str(d)
+		m.VehicleID = r.str(d, m.VehicleID)
 		m.TotalKW = r.f64()
 		m.DrawCapKW = r.f64()
 		m.Round = r.i32()
 		m.Epoch = r.u64()
 		m.OwnKWSum = r.f64()
 	case *ScheduleMsg:
-		m.VehicleID = r.str(d)
+		m.VehicleID = r.str(d, m.VehicleID)
 		m.AllocKW = r.f64s(m.AllocKW)
 		m.PaymentH = r.f64()
 		m.Round = r.i32()
@@ -682,7 +688,7 @@ func decodeBinaryBody(typ MessageType, body []byte, d *FrameDecoder, out any) er
 		m.CongestionDegree = r.f64()
 		m.WelfarePerHour = r.f64()
 	case *Bye:
-		m.Reason = r.str(d)
+		m.Reason = r.str(d, m.Reason)
 	case *Heartbeat:
 		m.Epoch = r.u64()
 		m.Round = r.i32()
@@ -701,7 +707,7 @@ func decodeBinaryBody(typ MessageType, body []byte, d *FrameDecoder, out any) er
 }
 
 func decodeCostSpec(r *binReader, d *FrameDecoder, m *CostSpec) {
-	m.Kind = r.str(d)
+	m.Kind = r.str(d, m.Kind)
 	m.BetaPerKWh = r.f64()
 	m.Alpha = r.f64()
 	m.LineCapacityKW = r.f64()
