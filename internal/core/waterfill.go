@@ -41,8 +41,21 @@ const (
 // formulation and the tests cross-check the two.
 func WaterFill(others []float64, total float64) (alloc []float64, level float64) {
 	alloc = make([]float64, len(others))
+	var scratch []float64
+	if len(others) > 0 && total > 0 {
+		scratch = make([]float64, 2*len(others)+1)
+	}
+	return alloc, WaterFillInto(alloc, scratch, others, total)
+}
+
+// WaterFillInto is WaterFill writing the allocation into alloc (the
+// length of others) and sorting in scratch (at least 2·len(others)+1
+// floats, unused for a non-positive total): the same float operations,
+// so the same bits, and no allocation. It returns the level λ*.
+func WaterFillInto(alloc, scratch, others []float64, total float64) float64 {
+	clear(alloc)
 	if len(others) == 0 {
-		return alloc, 0
+		return 0
 	}
 	if total <= 0 {
 		min := others[0]
@@ -51,15 +64,14 @@ func WaterFill(others []float64, total float64) (alloc []float64, level float64)
 				min = o
 			}
 		}
-		return alloc, min
+		return min
 	}
-
-	buf := make([]float64, 2*len(others)+1)
-	sorted, prefix := buf[:len(others)], buf[len(others):]
+	c := len(others)
+	sorted, prefix := scratch[:c:c], scratch[c:2*c+1]
 	sortBreakpoints(sorted, prefix, others)
-	level = levelSorted(sorted, prefix, total)
+	level := levelSorted(sorted, prefix, total)
 	pourTo(alloc, others, level)
-	return alloc, level
+	return level
 }
 
 // pourTo writes the allocation at a water level, [level − others_c]^+,
@@ -97,25 +109,37 @@ func sortBreakpoints(sorted, prefix, others []float64) {
 //	for k := 1; k < C && (total+prefix[k])/k > sorted[k]; k++ {}
 //
 // evaluated with the same float operations, so the result is that
-// scan's bit for bit. The predicate is monotone in k in exact
-// arithmetic, so a binary search finds the candidate in O(log C)
-// probes. Rounding can break that monotonicity only where the level
-// sits within a few ulps of a run of (near-)tied loads, so unless the
-// search's last false probe cleared its load by more than the rounding
-// error, a downward pass re-checks that run and stops at the first
-// index that does, below which every index is provably false too (see
-// levelRoundingSlack). A non-positive total returns the lowest load,
-// the level at which water would first start to pool.
+// scan's bit for bit (levelIndex finds the scan's k). A non-positive
+// total returns the lowest load, the level at which water would first
+// start to pool.
 func levelSorted(sorted, prefix []float64, total float64) float64 {
-	c := len(sorted)
 	if total <= 0 {
 		return sorted[0]
 	}
+	k := levelIndex(sorted, prefix, total, 1, len(sorted))
+	return (total + prefix[k]) / float64(k)
+}
+
+// levelIndex returns the breakpoint scan's k for a positive total,
+// given that it lies in [kmin, kmax]: every index below kmin is known
+// to pass the scan's test and index kmax to fail it (or kmax = C). The
+// full range is [1, C]; a caller that knows the scan's k at a smaller
+// and a larger total passes those as the bracket, because each test
+// fl(fl(total+prefix_m)/m) > sorted_m only turns from false to true as
+// total grows, so k never decreases with total.
+//
+// The test is monotone in m in exact arithmetic, so a binary search
+// finds the candidate in O(log(kmax−kmin)) probes. Rounding can break
+// that monotonicity only where the level sits within a few ulps of a
+// run of (near-)tied loads, so unless the search's last passing probe
+// cleared its load by more than the rounding error, a downward pass
+// re-checks that run and stops at the first index that does, below
+// which every index provably passes too (see levelRoundingSlack).
+func levelIndex(sorted, prefix []float64, total float64, kmin, kmax int) int {
 	// Inline sort.Search: this runs in the hottest loops of both
-	// solvers, several probes per best-response derivative. The search
-	// ends on a true index i+1 whose predecessor i was probed false,
-	// by gap.
-	i, j := 0, c-1
+	// solvers. The search ends on a failing index i+1 whose
+	// predecessor i passed, by gap, or on i = kmin−1.
+	i, j := kmin-1, kmax-1
 	var gap float64
 	for i < j {
 		h := int(uint(i+j) >> 1)
@@ -128,10 +152,10 @@ func levelSorted(sorted, prefix []float64, total float64) float64 {
 		}
 	}
 	k := i + 1
-	if i > 0 && !levelClearlyAbove(sorted, prefix, total, i, gap) {
+	if i >= kmin && !levelClearlyAbove(sorted, prefix, total, i, gap) {
 		// Rare: the level is within rounding of the load at index i, so
-		// an earlier index may be true; walk down to the scan's first.
-		for m := i; m >= 1; m-- {
+		// an earlier index may fail; walk down to the scan's first.
+		for m := i; m >= kmin; m-- {
 			lvl := (total + prefix[m]) / float64(m)
 			if lvl <= sorted[m] {
 				k = m
@@ -140,7 +164,7 @@ func levelSorted(sorted, prefix []float64, total float64) float64 {
 			}
 		}
 	}
-	return (total + prefix[k]) / float64(k)
+	return k
 }
 
 // levelClearlyAbove reports whether the computed level for m active

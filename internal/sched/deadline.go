@@ -17,8 +17,12 @@ func now() time.Time { return time.Now() }
 // starts a bound, disarm ends it, and the next exchange re-arms the
 // same timer instead of building a fresh context.WithTimeout.
 //
-//   - One time.AfterFunc timer is re-armed with Reset per exchange and
-//     stopped afterwards.
+//   - One time.AfterFunc timer is re-armed lazily: arm only records the
+//     bound while the timer is already due to fire no later than it,
+//     disarm only clears the bound, and a firing that finds a later
+//     bound armed re-arms the timer for the remainder. A steady stream
+//     of exchanges under one timeout touches the timer once per
+//     timeout, not twice per exchange.
 //   - One context.AfterFunc on the parent (the run's ctx) closes Done
 //     the moment the run is cancelled, so a pending Send or Recv ends
 //     at once.
@@ -31,8 +35,8 @@ func now() time.Time { return time.Now() }
 //     exchange allocates nothing.
 //
 // arm and disarm belong to the collector's goroutine; Done, Err,
-// Deadline and Value are safe from any goroutine. release frees the
-// timer and the parent registration once the collector is done.
+// Deadline and Value are safe from any goroutine. release stops the
+// timer and drops the parent registration once the collector is done.
 type deadline struct {
 	parent     context.Context
 	stopParent func() bool
@@ -42,6 +46,10 @@ type deadline struct {
 	done chan struct{}
 	err  error     // non-nil once done is closed
 	at   time.Time // the armed bound; zero while disarmed
+	// due is when the timer is set to fire; zero while it is not set.
+	// Whenever at is set, due is at or before it, or a firing is on its
+	// way to expire, which re-arms for at.
+	due time.Time
 }
 
 var _ context.Context = (*deadline)(nil)
@@ -66,14 +74,31 @@ func (d *deadline) fireLocked(err error) {
 	}
 }
 
-// expire is the timer's callback. A stale firing — the exchange was
-// disarmed, or re-armed for later — leaves done open.
+// expire is the timer's callback. It fires an armed bound that has
+// passed and re-arms the timer for one still ahead; a disarmed
+// deadline leaves done open and the timer idle.
 func (d *deadline) expire() {
 	d.mu.Lock()
-	if !d.at.IsZero() && !now().Before(d.at) {
-		d.fireLocked(context.DeadlineExceeded)
+	defer d.mu.Unlock()
+	d.due = time.Time{}
+	if d.at.IsZero() {
+		return
 	}
-	d.mu.Unlock()
+	if t := now(); t.Before(d.at) {
+		d.setTimerLocked(d.at, d.at.Sub(t))
+		return
+	}
+	d.fireLocked(context.DeadlineExceeded)
+}
+
+// setTimerLocked makes the timer fire after wait, at due.
+func (d *deadline) setTimerLocked(due time.Time, wait time.Duration) {
+	d.due = due
+	if d.timer == nil {
+		d.timer = time.AfterFunc(wait, d.expire)
+	} else {
+		d.timer.Reset(wait)
+	}
 }
 
 // arm bounds the next exchange at timeout from now. A deadline that
@@ -81,6 +106,7 @@ func (d *deadline) expire() {
 // done at once, as context.WithTimeout would.
 func (d *deadline) arm(timeout time.Duration) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.err != nil {
 		d.done, d.err = make(chan struct{}), nil
 	}
@@ -88,19 +114,14 @@ func (d *deadline) arm(timeout time.Duration) {
 		d.fireLocked(err)
 	}
 	d.at = now().Add(timeout)
-	d.mu.Unlock()
-	if d.timer == nil {
-		d.timer = time.AfterFunc(timeout, d.expire)
-	} else {
-		d.timer.Reset(timeout)
+	if d.due.IsZero() || d.due.After(d.at) {
+		d.setTimerLocked(d.at, timeout)
 	}
 }
 
-// disarm ends the current exchange's bound.
+// disarm ends the current exchange's bound. The timer keeps running;
+// its firing finds nothing armed, or a later bound to re-arm for.
 func (d *deadline) disarm() {
-	if d.timer != nil {
-		d.timer.Stop()
-	}
 	d.mu.Lock()
 	d.at = time.Time{}
 	d.mu.Unlock()
@@ -108,7 +129,12 @@ func (d *deadline) disarm() {
 
 // release stops the timer and drops the parent registration.
 func (d *deadline) release() {
-	d.disarm()
+	d.mu.Lock()
+	d.at, d.due = time.Time{}, time.Time{}
+	if d.timer != nil {
+		d.timer.Stop()
+	}
+	d.mu.Unlock()
 	d.stopParent()
 }
 

@@ -87,11 +87,13 @@ func (b *turnBench) turn(tb testing.TB) {
 // schedule lands after the count and a previous turn's lands inside
 // it, so the quotient is a whole turn's worth; rounding absorbs the
 // runtime's rare allocations of its own. What a turn still allocates
-// is its messages — the coordinator's quote and schedule structs, which
-// escape through SendMsg, and the three sealed bodies — and the
-// water-fill's result and sort buffer.
+// is its three sealed bodies — the quote, the request and the
+// schedule — each one the byte slice Seal returns: the message structs
+// they are sealed from live in the vehicle's slot and the agent, and
+// the water-fill writes into the slot row with the coordinator's
+// scratch.
 func TestTurnAllocBudget(t *testing.T) {
-	const budget = 7
+	const budget = 3
 	b := newTurnBench(t)
 	defer b.stop()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
