@@ -92,10 +92,11 @@ func BenchmarkConvergenceVsDropRate(b *testing.B) {
 	}
 }
 
-// BenchmarkCoordinatorTotals measures the coordinator's P_c pass — the
-// section-totals vector every quote is priced against, summed over the
-// slot table into its reused buffer — at a stadium-egress-sized fleet
-// (N=120, C=24). It allocates nothing.
+// BenchmarkCoordinatorTotals measures what one install costs the
+// section totals every quote is priced against — the section tree's
+// update of the written row's ancestors — plus the next quote's read of
+// the totals, at a stadium-egress-sized fleet (N=120, C=24). It
+// allocates nothing.
 //
 //	go test ./internal/sched -run '^$' -bench CoordinatorTotals -benchmem
 func BenchmarkCoordinatorTotals(b *testing.B) {
@@ -118,9 +119,11 @@ func BenchmarkCoordinatorTotals(b *testing.B) {
 			row[s] = 2 * rng.Float64()
 		}
 	}
+	coord.tree.rebuild()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		coord.tree.update(i % n)
 		benchTotals = coord.totalsVec()
 	}
 }

@@ -306,6 +306,7 @@ func ResumeCoordinator(cfg CoordinatorConfig, links map[string]v2i.Transport, t 
 		for i, p := range players {
 			copy(c.index[p.ID].row, proj.Row(i))
 		}
+		c.tree.rebuild()
 		c.restored = true
 	}
 	if t.Epoch > c.epoch {

@@ -13,23 +13,55 @@ import (
 	"olevgrid/internal/v2i"
 )
 
-// assertTotalsFresh checks the coordinator's slot order against a
-// fresh sort of the fleet's IDs, and SectionTotals bit
-// for bit against a reference sum taken in that fresh order. Only
-// Run's goroutine (or a caller between Runs) may call it.
-func assertTotalsFresh(t *testing.T, when string, c *Coordinator) {
-	t.Helper()
+// pairwiseFold sums rows as a balanced binary tree: the rows padded
+// with zero rows to a power of two (at least two), each half folded on
+// its own, the halves added elementwise. It is the reference for the
+// coordinator's section tree, written from scratch.
+func pairwiseFold(rows [][]float64, sections int) []float64 {
+	width := 2
+	for width < len(rows) {
+		width *= 2
+	}
+	var fold func(lo, hi int) []float64
+	fold = func(lo, hi int) []float64 {
+		if hi-lo == 1 {
+			if lo < len(rows) {
+				return append([]float64(nil), rows[lo]...)
+			}
+			return make([]float64, sections)
+		}
+		mid := (lo + hi) / 2
+		l, r := fold(lo, mid), fold(mid, hi)
+		for s := range l {
+			l[s] += r[s]
+		}
+		return l
+	}
+	return fold(0, width)
+}
+
+// freshTotals is pairwiseFold over the fleet's rows in a fresh sort of
+// its IDs.
+func freshTotals(c *Coordinator) ([]string, []float64) {
 	ids := make([]string, 0, len(c.index))
 	for id := range c.index {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	want := make([]float64, c.cfg.NumSections)
-	for _, id := range ids {
-		for s, v := range c.index[id].row {
-			want[s] += v
-		}
+	rows := make([][]float64, len(ids))
+	for i, id := range ids {
+		rows[i] = c.index[id].row
 	}
+	return ids, pairwiseFold(rows, c.cfg.NumSections)
+}
+
+// assertTotalsFresh checks the coordinator's slot order against a
+// fresh sort of the fleet's IDs, and SectionTotals bit for bit against
+// a from-scratch pairwise fold of the rows in that fresh order. Only
+// Run's goroutine (or a caller between Runs) may call it.
+func assertTotalsFresh(t *testing.T, when string, c *Coordinator) {
+	t.Helper()
+	ids, want := freshTotals(c)
 	got := c.SectionTotals()
 	for s := range want {
 		if math.Float64bits(got[s]) != math.Float64bits(want[s]) {
@@ -48,9 +80,9 @@ func assertTotalsFresh(t *testing.T, when string, c *Coordinator) {
 // TestSectionTotalsFollowMembership drives every membership change the
 // coordinator knows — an eviction, a join on its own, a join and a
 // departure in the same round (same fleet size, different IDs),
-// AddVehicle between Runs, and a ResumeCoordinator takeover — and
-// after each one requires the section totals to match a sum over
-// freshly sorted IDs.
+// AddVehicle between Runs, and a ResumeCoordinator takeover — and at
+// the top of every round and after each step requires the section
+// totals to equal a from-scratch pairwise fold over freshly sorted IDs.
 func TestSectionTotalsFollowMembership(t *testing.T) {
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -160,10 +192,14 @@ func TestSectionTotalsFollowMembership(t *testing.T) {
 	if err := coord.AddVehicle("ev-added", grid); err != nil {
 		t.Fatal(err)
 	}
+	assertTotalsFresh(t, "after AddVehicle", coord)
+	// A bulk row write (as a checkpoint restore makes) must reach the
+	// totals through the tree's rebuild.
 	for s := range coord.index["ev-added"].row {
 		coord.index["ev-added"].row[s] = 1.5 + float64(s)/7
 	}
-	assertTotalsFresh(t, "after AddVehicle", coord)
+	coord.tree.rebuild()
+	assertTotalsFresh(t, "after a bulk row write", coord)
 	_ = coord.Close()
 
 	// A takeover warm-starts a new coordinator from a checkpoint whose
