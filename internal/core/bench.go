@@ -142,20 +142,26 @@ func BenchMetricsOverhead(g *Game, parallelism, steadyRounds, trials int, m *Met
 		BareNsPerTurn:  trial(nil),
 		ArmedNsPerTurn: trial(m),
 	}
+	// Both sides of a pair start from the same heap state: a fresh GC
+	// and a ReadMemStats right before the timed rounds.
 	var before, after runtime.MemStats
-	for t := 0; t < trials; t++ {
-		if ns := trial(nil); ns < rep.BareNsPerTurn {
-			rep.BareNsPerTurn = ns
-		}
+	prepared := func(m *Metrics) (ns, allocs float64) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		ns := trial(m)
+		ns = trial(m)
 		runtime.ReadMemStats(&after)
+		return ns, float64(after.Mallocs-before.Mallocs) / turns
+	}
+	for t := 0; t < trials; t++ {
+		if ns, _ := prepared(nil); ns < rep.BareNsPerTurn {
+			rep.BareNsPerTurn = ns
+		}
+		ns, allocs := prepared(m)
 		if ns < rep.ArmedNsPerTurn {
 			rep.ArmedNsPerTurn = ns
 		}
-		if a := float64(after.Mallocs-before.Mallocs) / turns; t == 0 || a < rep.ArmedAllocsPerTurn {
-			rep.ArmedAllocsPerTurn = a
+		if t == 0 || allocs < rep.ArmedAllocsPerTurn {
+			rep.ArmedAllocsPerTurn = allocs
 		}
 	}
 	if rep.BareNsPerTurn > 0 {

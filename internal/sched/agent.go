@@ -205,42 +205,62 @@ func (a *Agent) Run(ctx context.Context) (AgentResult, error) {
 			tally(&res.Reconnects, m.Reconnects)
 			m.Sink.Emit(obs.EventReconnect, a.cfg.VehicleID, int32(res.Rounds), -1, 0)
 		}
-		// Drop replays and reordered-late frames (a peer that does not
-		// stamp sequence numbers sends 0 and bypasses the filter).
-		if env.Seq != 0 {
-			if env.Seq <= a.gridSeq {
-				res.StaleDropped++
-				continue
-			}
-			a.gridSeq = env.Seq
+		if stop, err := a.Handle(ctx, env, &res); stop {
+			return res, err
 		}
-		switch env.Type {
-		case v2i.TypeQuote:
-			if err := a.answerQuote(ctx, env, &res); err != nil {
-				return res, err
-			}
-		case v2i.TypeQuoteBatch:
-			if err := a.answerBatch(ctx, env, &res); err != nil {
-				return res, err
-			}
-		case v2i.TypeSchedule:
-			msg := &a.sched
-			*msg = v2i.ScheduleMsg{VehicleID: msg.VehicleID, AllocKW: msg.AllocKW[:0]}
-			if err := v2i.Open(env, v2i.TypeSchedule, msg); err != nil {
-				return res, err
-			}
+	}
+}
+
+// Handle acts on one grid frame: it drops replays and reordered-late
+// frames, answers a quote with a best response, records a schedule,
+// and reports stop once the agent is done — at the grid's Bye, or with
+// the error that ended it. Run calls it for every frame it receives; an
+// inline link (v2i.NewInlinePair) calls it on the sender's goroutine
+// through Handler. A request send that ctx cut short counts as a lost
+// frame, not an error, so a slow vehicle-side link never ends the
+// agent.
+func (a *Agent) Handle(ctx context.Context, env v2i.Envelope, res *AgentResult) (stop bool, err error) {
+	// Drop replays and reordered-late frames (a peer that does not
+	// stamp sequence numbers sends 0 and bypasses the filter).
+	if env.Seq != 0 {
+		if env.Seq <= a.gridSeq {
+			res.StaleDropped++
+			return false, nil
+		}
+		a.gridSeq = env.Seq
+	}
+	switch env.Type {
+	case v2i.TypeQuote:
+		err = a.answerQuote(ctx, env, res)
+	case v2i.TypeQuoteBatch:
+		err = a.answerBatch(ctx, env, res)
+	case v2i.TypeSchedule:
+		msg := &a.sched
+		*msg = v2i.ScheduleMsg{VehicleID: msg.VehicleID, AllocKW: msg.AllocKW[:0]}
+		if err = v2i.Open(env, v2i.TypeSchedule, msg); err == nil {
 			res.FinalAllocKW = append(res.FinalAllocKW[:0], msg.AllocKW...)
 			res.FinalPaymentH = msg.PaymentH
 			a.lastAlloc = append(a.lastAlloc[:0], msg.AllocKW...)
-		case v2i.TypeConverged:
-			res.Converged = true
-		case v2i.TypeHeartbeat:
-			tally(&res.Heartbeats, m.Heartbeats) // liveness only; receiving it reset the silence clock
-		case v2i.TypeBye:
-			return res, nil
-		default:
-			return res, fmt.Errorf("sched: agent %s: unexpected %s", a.cfg.VehicleID, env.Type)
 		}
+	case v2i.TypeConverged:
+		res.Converged = true
+	case v2i.TypeHeartbeat:
+		tally(&res.Heartbeats, a.cfg.Metrics.Heartbeats) // liveness only; receiving it reset the silence clock
+	case v2i.TypeBye:
+		return true, nil
+	default:
+		err = fmt.Errorf("sched: agent %s: unexpected %s", a.cfg.VehicleID, env.Type)
+	}
+	return err != nil, err
+}
+
+// Handler returns the agent's side of an inline link: each frame goes
+// to Handle, which accumulates into res, and the link swallows every
+// frame after the one that stopped the agent.
+func (a *Agent) Handler(res *AgentResult) v2i.Handler {
+	return func(ctx context.Context, env v2i.Envelope) bool {
+		stop, _ := a.Handle(ctx, env, res)
+		return stop
 	}
 }
 
@@ -302,7 +322,9 @@ func (a *Agent) answerBatch(ctx context.Context, env v2i.Envelope, res *AgentRes
 // unchanged.
 func (a *Agent) respond(ctx context.Context, quote *v2i.Quote, ownSum float64, res *AgentResult) error {
 	a.lastQuote = quote
-	a.lastQuoteAt = now()
+	if a.cfg.Autonomy != nil {
+		a.lastQuoteAt = now() // only the degraded-mode fallback reads it
+	}
 	if a.cost == nil || quote.Cost != a.spec {
 		cost, err := BuildCost(quote.Cost)
 		if err != nil {
@@ -334,7 +356,7 @@ func (a *Agent) respond(ctx context.Context, quote *v2i.Quote, ownSum float64, r
 		Epoch: quote.Epoch, OwnKWSum: ownSum,
 	}
 	err := v2i.SendMsg(ctx, a.link, v2i.TypeRequest, a.cfg.VehicleID, a.seq, &a.req)
-	if err != nil {
+	if err != nil && !errors.Is(err, ctx.Err()) { // a send ctx cut short is a lost frame
 		return fmt.Errorf("sched: agent %s send request: %w", a.cfg.VehicleID, err)
 	}
 	res.FinalRequestKW = request

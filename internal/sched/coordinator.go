@@ -159,10 +159,10 @@ type CoordinatorConfig struct {
 	// concurrently, then the requests are water-filled in stable batch
 	// order — a speculative Jacobi block, mirroring core.RunParallel.
 	// The coordinator cannot evaluate the welfare guard (satisfactions
-	// are private to the vehicles), so instead any batched round that
-	// fails to shrink the movement bound degrades the next round to
-	// sequential; sequential rounds are monotone by Theorem IV.1, which
-	// rules out sustained Jacobi cycling.
+	// are private to the vehicles), so instead the first batched round
+	// that fails to shrink the movement bound degrades every later
+	// round to sequential; sequential rounds are monotone by Theorem
+	// IV.1, which rules out sustained Jacobi cycling.
 	Parallelism int
 	// Seed shuffles the per-round update order and drives retry
 	// jitter.
@@ -594,7 +594,7 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 	m := c.cfg.Metrics
 	rounds, converged := 0, false
 	prevDelta := math.Inf(1)
-	sequentialNext := false
+	sequential := false
 	for round := 1; round <= c.cfg.MaxRounds; round++ {
 		if c.cfg.OnRound != nil {
 			c.cfg.OnRound(round)
@@ -656,7 +656,7 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 		if batch > len(visit) {
 			batch = len(visit)
 		}
-		if sequentialNext && batch > 1 {
+		if sequential && batch > 1 {
 			batch = 1
 			c.count(&c.counts.DegradedRounds, m.Degraded)
 		}
@@ -674,12 +674,14 @@ func (c *Coordinator) Run(ctx context.Context) (Report, error) {
 		}
 		// A batched round is a speculative Jacobi sweep with no welfare
 		// guard (satisfactions are private), so a round that fails to
-		// shrink the movement bound degrades the next one to the
+		// shrink the movement bound hands the rest of the run to the
 		// sequential dynamics, whose monotonicity Theorem IV.1
-		// guarantees. Sequential rounds always make strict progress off
-		// equilibrium, so cycling cannot be sustained.
-		sequentialNext = c.cfg.Parallelism > 1 && batch > 1 &&
-			maxDelta >= c.cfg.Tolerance && maxDelta >= prevDelta
+		// guarantees. Batching never resumes: on a congested fleet a
+		// resumed Jacobi sweep undoes each sequential round's progress
+		// and the run alternates until MaxRounds.
+		if batch > 1 && maxDelta >= c.cfg.Tolerance && maxDelta >= prevDelta {
+			sequential = true
+		}
 		prevDelta = maxDelta
 		if removed {
 			kept := visit[:0]
@@ -989,7 +991,8 @@ const maxBackoffStep = 5
 // fresh quote resynchronizes both sides, because agents answer every
 // quote independently and stale answers are filtered by epoch.
 func (c *Coordinator) updateWithRetries(ctx context.Context, v *vehicle, round int) (float64, error) {
-	deadline := now().Add(c.exchangeDeadline)
+	start := now()
+	deadline := start.Add(c.exchangeDeadline)
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -997,11 +1000,11 @@ func (c *Coordinator) updateWithRetries(ctx context.Context, v *vehicle, round i
 			if err := c.backoff(ctx, c.dl, attempt); err != nil {
 				break
 			}
-			if now().After(deadline) {
+			if start = now(); start.After(deadline) {
 				break
 			}
 		}
-		delta, err := c.updateOne(c.dl, v, round)
+		delta, err := c.updateOne(c.dl, v, round, start)
 		if err == nil {
 			return delta, nil
 		}
@@ -1017,7 +1020,8 @@ func (c *Coordinator) updateWithRetries(ctx context.Context, v *vehicle, round i
 // exchange, used by the batched rounds; the install half runs later on
 // Run's goroutine. Retry structure mirrors updateWithRetries.
 func (c *Coordinator) collectWithRetries(ctx context.Context, dl *deadline, v *vehicle, round int, others, totals []float64, epoch uint64) (v2i.Request, error) {
-	deadline := now().Add(c.exchangeDeadline)
+	start := now()
+	deadline := start.Add(c.exchangeDeadline)
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -1025,11 +1029,11 @@ func (c *Coordinator) collectWithRetries(ctx context.Context, dl *deadline, v *v
 			if err := c.backoff(ctx, dl, attempt); err != nil {
 				break
 			}
-			if now().After(deadline) {
+			if start = now(); start.After(deadline) {
 				break
 			}
 		}
-		req, err := c.collectRequest(dl, v, round, others, totals, epoch)
+		req, err := c.collectRequest(dl, v, round, others, totals, epoch, start)
 		if err == nil {
 			return req, nil
 		}
@@ -1115,11 +1119,12 @@ func (c *Coordinator) backoff(ctx context.Context, dl *deadline, attempt int) er
 
 // updateOne performs one vehicle's quote → request → schedule exchange
 // and returns |Δp_n|: the sequential composition of the network half
-// (collectRequest) and the scheduling half (installRequest).
-func (c *Coordinator) updateOne(dl *deadline, v *vehicle, round int) (float64, error) {
+// (collectRequest) and the scheduling half (installRequest). from is
+// the clock reading the attempt began at.
+func (c *Coordinator) updateOne(dl *deadline, v *vehicle, round int, from time.Time) (float64, error) {
 	totals := c.totalsVec()
 	c.others = othersFrom(c.others, totals, v.row)
-	req, err := c.collectRequest(dl, v, round, c.others, totals, c.epoch)
+	req, err := c.collectRequest(dl, v, round, c.others, totals, c.epoch, from)
 	if err != nil {
 		return 0, err
 	}
@@ -1128,7 +1133,8 @@ func (c *Coordinator) updateOne(dl *deadline, v *vehicle, round int) (float64, e
 
 // collectRequest is the network half of an exchange: quote Ψ_n against
 // the given background load, then wait for a fresh answer, all under
-// one arming of the collector's deadline. The receive side filters the
+// one arming of the collector's deadline, one RoundTimeout from the
+// clock reading from. The receive side filters the
 // realities of a lossy link: replayed frames (sequence number at or
 // below the last accepted one) and best-responses to an outdated quote
 // (epoch mismatch) are counted and discarded, never water-filled. It
@@ -1142,8 +1148,8 @@ func (c *Coordinator) updateOne(dl *deadline, v *vehicle, round int) (float64, e
 // bit for bit. The agent reconstructs others = totals − own locally
 // and echoes a checksum of the own row it used; a checksum mismatch
 // invalidates the copy and retries with the row inlined.
-func (c *Coordinator) collectRequest(dl *deadline, v *vehicle, round int, others, totals []float64, epoch uint64) (v2i.Request, error) {
-	dl.arm(c.cfg.RoundTimeout)
+func (c *Coordinator) collectRequest(dl *deadline, v *vehicle, round int, others, totals []float64, epoch uint64, from time.Time) (v2i.Request, error) {
+	dl.armFrom(from, c.cfg.RoundTimeout)
 	defer dl.disarm()
 
 	var liveMask []bool

@@ -118,3 +118,20 @@ func TestBatchedCoordinatorWiderThanFleet(t *testing.T) {
 		t.Fatalf("did not converge in %d rounds", report.Rounds)
 	}
 }
+
+// TestBatchedCoordinatorSettlesCongested: on a fleet that overloads
+// its sections, a batched Jacobi sweep overshoots, so batching must
+// not resume after the first round that fails to shrink the movement
+// bound, or every batched round undoes the sequential round before it
+// and the run alternates until MaxRounds.
+func TestBatchedCoordinatorSettlesCongested(t *testing.T) {
+	report, _ := launchGameParallel(t, 20, 10, 3, 1e-4)
+	if !report.Converged {
+		t.Fatalf("batched run did not converge in %d rounds (degraded %d)",
+			report.Rounds, report.DegradedRounds)
+	}
+	if report.CongestionDegree < 0.8 {
+		t.Fatalf("congestion %.3f: the fleet is not congested", report.CongestionDegree)
+	}
+	t.Logf("rounds=%d degraded=%d congestion=%.3f", report.Rounds, report.DegradedRounds, report.CongestionDegree)
+}

@@ -13,9 +13,11 @@ import (
 )
 
 // turnBench is a warm in-process fleet at the rush-hour archetype's
-// scale (N=50, C=20): a coordinator and one running agent per vehicle
-// over NewPair links, with no faults, so every turn is a single
-// quote → request → schedule exchange.
+// scale (N=50, C=20): a coordinator and one agent per vehicle with no
+// faults, so every turn is a single quote → request → schedule
+// exchange. The agents run their own goroutines over NewPair links, or
+// answer on the coordinator's goroutine over inline pairs, as a serve
+// fleet does.
 type turnBench struct {
 	coord *Coordinator
 	dl    *deadline
@@ -24,16 +26,27 @@ type turnBench struct {
 	stop  func()
 }
 
-func newTurnBench(tb testing.TB) *turnBench {
+// turnLinks names the two in-memory wirings a turn is measured on.
+var turnLinks = []string{"pair", "inline"}
+
+func newTurnBench(tb testing.TB, wiring string) *turnBench {
 	tb.Helper()
 	const n, sections = 50, 20
 	links := make(map[string]v2i.Transport, n)
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
 	ids := make([]string, 0, n)
+	results := make([]AgentResult, n)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("ev-%03d", i)
-		grid, vehicle := v2i.NewPair(8)
+		var grid, vehicle v2i.Transport
+		var inline *v2i.InlineGrid
+		if wiring == "inline" {
+			inline, vehicle = v2i.NewInlinePair(8)
+			grid = inline
+		} else {
+			grid, vehicle = v2i.NewPair(8)
+		}
 		agent, err := NewAgent(AgentConfig{
 			VehicleID:    id,
 			MaxPowerKW:   60 + float64(i%5)*8,
@@ -44,6 +57,10 @@ func newTurnBench(tb testing.TB) *turnBench {
 		}
 		links[id] = grid
 		ids = append(ids, id)
+		if inline != nil {
+			inline.Bind(agent.Handler(&results[i]))
+			continue
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -72,11 +89,12 @@ func newTurnBench(tb testing.TB) *turnBench {
 	return b
 }
 
-// turn runs the next vehicle's exchange in round-robin order.
+// turn runs the next vehicle's exchange in round-robin order, reading
+// the clock once as Run's retry loop does.
 func (b *turnBench) turn(tb testing.TB) {
 	v := b.coord.index[b.ids[b.next%len(b.ids)]]
 	b.next++
-	if _, err := b.coord.updateOne(b.dl, v, 1+b.next/len(b.ids)); err != nil {
+	if _, err := b.coord.updateOne(b.dl, v, 1+b.next/len(b.ids), now()); err != nil {
 		tb.Fatal(err)
 	}
 }
@@ -94,33 +112,42 @@ func (b *turnBench) turn(tb testing.TB) {
 // scratch.
 func TestTurnAllocBudget(t *testing.T) {
 	const budget = 3
-	b := newTurnBench(t)
-	defer b.stop()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const turns = 2000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < turns; i++ {
-		b.turn(t)
-	}
-	runtime.ReadMemStats(&after)
-	perTurn := float64(after.Mallocs-before.Mallocs) / turns
-	t.Logf("%.2f mallocs/turn, %.0f bytes/turn (N=50, C=20)",
-		perTurn, float64(after.TotalAlloc-before.TotalAlloc)/turns)
-	if got := math.Round(perTurn); got != budget {
-		t.Fatalf("a turn allocates %v times, budget %d", got, budget)
+	for _, wiring := range turnLinks {
+		t.Run(wiring, func(t *testing.T) {
+			b := newTurnBench(t, wiring)
+			defer b.stop()
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			const turns = 2000
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < turns; i++ {
+				b.turn(t)
+			}
+			runtime.ReadMemStats(&after)
+			perTurn := float64(after.Mallocs-before.Mallocs) / turns
+			t.Logf("%.2f mallocs/turn, %.0f bytes/turn (N=50, C=20)",
+				perTurn, float64(after.TotalAlloc-before.TotalAlloc)/turns)
+			if got := math.Round(perTurn); got != budget {
+				t.Fatalf("a turn allocates %v times, budget %d", got, budget)
+			}
+		})
 	}
 }
 
-// BenchmarkTurn measures the same warm turn as TestTurnAllocBudget.
+// BenchmarkTurn measures the same warm turn as TestTurnAllocBudget, on
+// both wirings.
 //
 //	go test ./internal/sched -run '^$' -bench Turn -benchmem
 func BenchmarkTurn(b *testing.B) {
-	tb := newTurnBench(b)
-	defer tb.stop()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb.turn(b)
+	for _, wiring := range turnLinks {
+		b.Run(wiring, func(b *testing.B) {
+			tb := newTurnBench(b, wiring)
+			defer tb.stop()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tb.turn(b)
+			}
+		})
 	}
 }

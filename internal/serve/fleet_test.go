@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -47,5 +48,24 @@ func TestFleetCloseWithinGrace(t *testing.T) {
 				t.Fatalf("Close took %v of its %v grace", took, cfg.ShutdownGrace)
 			}
 		})
+	}
+}
+
+// TestInlineFleetStartsNoGoroutine: on the default wire a fleet's
+// agents answer on the sender's goroutine, so assembling a fleet —
+// clean or behind the chaos injector — starts no goroutine per vehicle.
+func TestInlineFleetStartsNoGoroutine(t *testing.T) {
+	for _, chaos := range []ChaosSpec{{}, {DropRate: 0.1, DuplicateRate: 0.1, ReorderRate: 0.1, MaxDelayMS: 5}} {
+		spec := SessionSpec{Vehicles: 50, Sections: 8, Seed: 5, Chaos: chaos}.withDefaults(time.Minute)
+		before := runtime.NumGoroutine()
+		f, err := newFleet(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := runtime.NumGoroutine()
+		f.stop()
+		if after > before {
+			t.Fatalf("chaos %+v: a %d-vehicle fleet started %d goroutines", chaos, spec.Vehicles, after-before)
+		}
 	}
 }

@@ -169,11 +169,14 @@ func (s *Session) Cancel() {
 	s.cancel(errCanceled)
 }
 
-// fleet is a session's in-process vehicle population: one agent
-// goroutine per OLEV over an in-memory v2i pair, optionally behind a
-// seeded fault injector — the same wiring the chaos acceptance
-// harness uses, so a serve session exercises the identical transport
-// and protocol stack.
+// fleet is a session's in-process vehicle population: one agent per
+// OLEV, optionally behind a seeded fault injector on both ends of its
+// link — the same protocol stack and chaos plans the acceptance suites
+// use. On the default wire each agent answers inline, on the goroutine
+// that sends it a frame, so a session is one coordinator goroutine
+// (plus the collectors of a batched round) and no goroutine per
+// vehicle; the "binary" wire runs each agent on its own goroutine over
+// a connection-backed pipe, which wg tracks.
 type fleet struct {
 	links map[string]v2i.Transport
 	raw   []v2i.Transport
@@ -195,32 +198,36 @@ func chaosFor(spec SessionSpec, i int) v2i.FaultConfig {
 	}
 }
 
-// fleetLinkBuffer sizes each direction of a fleet vehicle's in-memory
-// link. Every exchange is a rendezvous: the grid sends a quote or a
-// schedule and then waits for the agent, so grid frames pile up only
-// once an agent has stopped reading, which it does at the first Bye it
-// reads. At the end of a session the grid sends three frames —
-// Converged and Bye from Run, then Close's Bye — and the chaos
-// injector may duplicate each and release one earlier frame it held
-// back to reorder: at most 7, of which the agent reads at least the
-// Bye it stops on. Eight slots therefore never make a farewell Bye
-// wait out the coordinator's ShutdownGrace, at 16 Envelope slots
-// (~1.3 KB) per vehicle. The vehicle's direction
-// carries one request per quote (two with a duplicate), which the
-// coordinator drains on its next exchange with that vehicle.
+// fleetLinkBuffer sizes the inbox of a fleet vehicle's inline link:
+// the vehicle's replies waiting for the coordinator's next Recv. Grid
+// frames need no buffer, because the grid's Send runs the agent's
+// handler before it returns, and once the agent has stopped (at the
+// first Bye it reads) the link swallows them, so the farewell Byes
+// never wait on the coordinator's ShutdownGrace. The vehicle sends one
+// request per fresh quote; the chaos injector may duplicate it and
+// release one earlier request it held back to reorder, so at most three
+// frames arrive per quote. The coordinator's Recv drains them in order
+// up to the one it accepts, which leaves at most two behind for the
+// next quote's Recv to discard first: at most five wait at once, and
+// eight slots (~0.7 KB per vehicle) never drop a reply. A reply that
+// found the inbox full would count as lost.
 const fleetLinkBuffer = 8
 
-// launchVehicle wires one agent over an in-memory pair and starts its
-// Run goroutine, returning the grid-side transport. A "binary" wire
-// spec swaps the channel pair for a connection-backed pipe pair, so the
-// session exercises the same binary frames a TCP deployment does.
+// launchVehicle builds one agent over its link and returns the
+// grid-side transport. On the default wire the agent is bound to an
+// inline pair and starts no goroutine. A "binary" wire spec runs the
+// agent on its own goroutine over a connection-backed pipe pair
+// instead, so the session exercises the same binary frames a TCP
+// deployment does.
 func (f *fleet) launchVehicle(ctx context.Context, spec SessionSpec, id string, i int) (v2i.Transport, error) {
 	var gridSide, vehicleSide v2i.Transport
+	var inline *v2i.InlineGrid
 	if spec.Wire == "binary" {
 		gridSide, vehicleSide = v2i.NewPipePair()
 		f.raw = append(f.raw, vehicleSide)
 	} else {
-		gridSide, vehicleSide = v2i.NewPair(fleetLinkBuffer)
+		inline, vehicleSide = v2i.NewInlinePair(fleetLinkBuffer)
+		gridSide = inline
 	}
 	f.raw = append(f.raw, gridSide)
 	var gl, vl v2i.Transport = gridSide, vehicleSide
@@ -228,32 +235,28 @@ func (f *fleet) launchVehicle(ctx context.Context, spec SessionSpec, id string, 
 		gl = v2i.NewFaulty(gl, chaosFor(spec, i))
 		vl = v2i.NewFaulty(vl, chaosFor(spec, 10_000+i))
 	}
-	var autonomy *sched.AutonomyConfig
-	if spec.Chaos.enabled() {
-		// Under chaos the control plane can go silent past a round;
-		// degraded-mode autonomy keeps the vehicle drawing a safe local
-		// setpoint instead of blocking, exactly as in the chaos suite.
-		autonomy = &sched.AutonomyConfig{QuoteDeadline: 250 * time.Millisecond}
-	}
+	// The session keeps no AgentResult and arms no agent Metrics, so
+	// degraded-mode autonomy would change nothing anyone observes.
 	agent, err := sched.NewAgent(sched.AgentConfig{
 		VehicleID:    id,
 		MaxPowerKW:   spec.MaxPowerKW,
 		Satisfaction: core.LogSatisfaction{Weight: weight(i)},
-		Autonomy:     autonomy,
 	}, vl)
 	if err != nil {
 		return nil, err
+	}
+	if inline != nil {
+		inline.Bind(agent.Handler(new(sched.AgentResult)))
+		return gl, nil
 	}
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
 		_, _ = agent.Run(ctx)
-		if spec.Wire == "binary" {
-			// A synchronous pipe has no reader once the agent exits;
-			// close it so the coordinator's farewell Bye fails fast
-			// instead of waiting out the shutdown grace.
-			_ = vl.Close()
-		}
+		// A synchronous pipe has no reader once the agent exits; close
+		// it so the coordinator's farewell Bye fails fast instead of
+		// waiting out the shutdown grace.
+		_ = vl.Close()
 	}()
 	return gl, nil
 }
@@ -273,7 +276,8 @@ func newFleet(ctx context.Context, spec SessionSpec) (*fleet, error) {
 	return f, nil
 }
 
-// stop closes every raw link and waits for the agent goroutines.
+// stop closes every raw link and waits for the binary wire's agent
+// goroutines.
 func (f *fleet) stop() {
 	for _, l := range f.raw {
 		_ = l.Close()

@@ -125,8 +125,8 @@ type SessionSpec struct {
 	Outages []OutageSpec `json:"outages,omitempty"`
 
 	// Solver selects the session's engine: "" or "exact" runs the
-	// per-vehicle control plane (one agent goroutine per OLEV over
-	// v2i); "meanfield" runs the aggregated population tier in
+	// per-vehicle control plane (one agent per OLEV over v2i);
+	// "meanfield" runs the aggregated population tier in
 	// process, which lifts the fleet ceiling to MaxMeanFieldFleet but
 	// forgoes the per-vehicle transport — so chaos injection and
 	// mid-run churn are rejected for it.
