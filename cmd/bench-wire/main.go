@@ -1,9 +1,9 @@
 // Command bench-wire is the A/B harness for the V2I wire: the
-// length-prefixed binary frames every connection carries (coalesced
-// QuoteBatch quote broadcasts) against a JSON text envelope built with
-// encoding/json (unicast quotes), the reference the binary codec
-// replaced, and in-memory links against connections end to end. It
-// emits machine-readable BENCH_wire.json with four measurements:
+// length-prefixed binary frames every connection carries against a
+// JSON text envelope built with encoding/json, the reference the
+// binary codec replaced, and in-memory links against connections end
+// to end. Every link carries one unicast quote per vehicle. It emits
+// machine-readable BENCH_wire.json with four measurements:
 //
 //   - codec: encode and decode ns/op and bytes/frame for a
 //     representative C-section quote on each codec — json.Marshal and
@@ -11,19 +11,17 @@
 //     frame codec — and the binary codec's steady-state allocs/op
 //     (encode and decode);
 //   - broadcast: the bytes needed to deliver one round of quotes to N
-//     vehicles — N unicast JSON Quote envelopes vs N binary QuoteBatch
-//     frames sharing the section-totals payload with the own row
-//     elided;
+//     vehicles — N unicast Quote frames on the binary codec vs the
+//     same N quotes as JSON envelopes;
 //   - game: the same N-vehicle pricing game run end to end over both
-//     links (in-memory channel pairs with unicast quotes vs
-//     connection-backed pipe pairs with QuoteBatch quotes),
+//     links (in-memory channel pairs vs connection-backed pipe pairs),
 //     with wall clock, per-round latency, and the resulting welfare
 //     compared bit for bit;
 //   - gates: with -check the run exits non-zero unless the binary
 //     codec is at least 3× JSON on both encode and decode, its encode
-//     and decode are allocation-free, the batched broadcast costs at
-//     most half the unicast bytes, and the two wires' welfare agrees
-//     to the last bit.
+//     and decode are allocation-free, the binary round costs at most
+//     half the JSON bytes, and the two links' welfare agrees to the
+//     last bit.
 //
 // Usage:
 //
@@ -75,13 +73,12 @@ type broadcastBench struct {
 	Fleet    int `json:"fleet"`
 	Sections int `json:"sections"`
 	// JSONUnicastBytes is one round of quotes as N unicast JSON Quote
-	// envelopes, each carrying its own N−1 background vector.
+	// envelopes, each carrying its own background vector.
 	JSONUnicastBytes int `json:"json_unicast_bytes"`
-	// BinaryBatchBytes is the same round as N binary QuoteBatch frames
-	// sharing the section-totals header, own rows elided (the steady
-	// state once every vehicle has acknowledged a schedule).
-	BinaryBatchBytes int     `json:"binary_batch_bytes"`
-	Ratio            float64 `json:"ratio"`
+	// BinaryUnicastBytes is the same round as the N binary Quote
+	// frames every link sends.
+	BinaryUnicastBytes int     `json:"binary_unicast_bytes"`
+	Ratio              float64 `json:"ratio"`
 }
 
 type gameRun struct {
@@ -98,7 +95,7 @@ type gameBench struct {
 	Parallelism int     `json:"parallelism"`
 	JSON        gameRun `json:"json"`
 	Binary      gameRun `json:"binary"`
-	// WelfareBitwiseEqual is the headline correctness gate: both wires
+	// WelfareBitwiseEqual is the headline correctness gate: both links
 	// land on the identical float64, not merely within tolerance.
 	WelfareBitwiseEqual bool `json:"welfare_bitwise_equal"`
 }
@@ -115,8 +112,8 @@ type benchFile struct {
 	GateEncodeSpeedup  bool `json:"gate_encode_speedup"`  // binary >= 3x JSON encode
 	GateDecodeSpeedup  bool `json:"gate_decode_speedup"`  // binary >= 3x JSON decode
 	GateZeroAlloc      bool `json:"gate_zero_alloc"`      // binary encode+decode allocation-free
-	GateBroadcastBytes bool `json:"gate_broadcast_bytes"` // batch <= half the unicast bytes
-	GateWelfareBitwise bool `json:"gate_welfare_bitwise"` // both wires, same float64
+	GateBroadcastBytes bool `json:"gate_broadcast_bytes"` // binary <= half the JSON bytes
+	GateWelfareBitwise bool `json:"gate_welfare_bitwise"` // both links, same float64
 	Pass               bool `json:"pass"`
 }
 
@@ -182,7 +179,7 @@ func run() error {
 // benchQuote is the representative frame both codec measurements use:
 // a quote carrying a C-section background vector of full-precision
 // floats, the shape that dominates a session's traffic.
-func benchQuote(c int) (v2i.Quote, []float64) {
+func benchQuote(c int) v2i.Quote {
 	others := make([]float64, c)
 	for i := range others {
 		// Full-precision decimals, like any water-filled schedule: a
@@ -192,7 +189,7 @@ func benchQuote(c int) (v2i.Quote, []float64) {
 	return v2i.Quote{
 		VehicleID: "ev-0042", Others: others, Round: 17, Epoch: 911, FleetSize: 1000,
 		Cost: costSpec(),
-	}, others
+	}
 }
 
 func costSpec() v2i.CostSpec {
@@ -211,7 +208,7 @@ func jsonEnvelope(typ v2i.MessageType, from string, seq uint64, body any) (v2i.E
 
 func runCodecBench(c int) (codecBench, error) {
 	var out codecBench
-	quote, _ := benchQuote(c)
+	quote := benchQuote(c)
 	env, err := jsonEnvelope(v2i.TypeQuote, "smart-grid", 7, &quote)
 	if err != nil {
 		return out, err
@@ -302,13 +299,12 @@ func runCodecBench(c int) (codecBench, error) {
 
 func runBroadcastBench(n, c int) (broadcastBench, error) {
 	out := broadcastBench{Fleet: n, Sections: c}
-	_, totals := benchQuote(c)
-
-	// JSON unicast: every vehicle gets its own Quote with its own
-	// background vector (others = totals − own differs per vehicle, so
-	// nothing is shareable on this wire).
+	// Every vehicle gets its own Quote with its own background vector
+	// (others = totals − own differs per vehicle), on either codec.
+	q := benchQuote(c)
+	q.FleetSize = n
+	var buf []byte
 	for i := 0; i < n; i++ {
-		q, _ := benchQuote(c)
 		q.VehicleID = fmt.Sprintf("ev-%04d", i)
 		env, err := jsonEnvelope(v2i.TypeQuote, "smart-grid", uint64(i+1), &q)
 		if err != nil {
@@ -319,28 +315,19 @@ func runBroadcastBench(n, c int) (broadcastBench, error) {
 			return out, err
 		}
 		out.JSONUnicastBytes += len(frame)
-	}
-
-	// Binary batch: the shared round header + totals, own row elided —
-	// the steady state once every vehicle has acknowledged a schedule.
-	batch := v2i.QuoteBatch{Round: 17, Epoch: 911, FleetSize: n, Cost: costSpec(), Totals: totals}
-	var buf []byte
-	for i := 0; i < n; i++ {
-		var err error
-		buf, err = v2i.AppendBinaryFrame(buf[:0], v2i.TypeQuoteBatch, "smart-grid", uint64(i+1), &batch)
-		if err != nil {
+		if buf, err = v2i.AppendBinaryFrame(buf[:0], v2i.TypeQuote, "smart-grid", uint64(i+1), &q); err != nil {
 			return out, err
 		}
-		out.BinaryBatchBytes += len(buf)
+		out.BinaryUnicastBytes += len(buf)
 	}
-	out.Ratio = float64(out.BinaryBatchBytes) / float64(out.JSONUnicastBytes)
+	out.Ratio = float64(out.BinaryUnicastBytes) / float64(out.JSONUnicastBytes)
 	return out, nil
 }
 
-// runGame plays one clean n-vehicle game on the given wire — in-memory
-// channel pairs for WireJSON, connection-backed pipe pairs for binary —
-// and reports rounds, welfare, and wall clock.
-func runGame(w v2i.Wire, n, c, parallel int, tol float64, rounds int) (gameRun, error) {
+// runGame plays one clean n-vehicle game — on in-memory channel pairs,
+// or with pipe on connection-backed pipe pairs — and reports rounds,
+// welfare, and wall clock.
+func runGame(pipe bool, n, c, parallel int, tol float64, rounds int) (gameRun, error) {
 	var out gameRun
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
 	defer cancel()
@@ -350,7 +337,7 @@ func runGame(w v2i.Wire, n, c, parallel int, tol float64, rounds int) (gameRun, 
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("ev-%04d", i)
 		gridSide, vehSide := v2i.NewPair(64)
-		if w == v2i.WireBinary {
+		if pipe {
 			gridSide, vehSide = v2i.NewPipePair()
 		}
 		links[id] = gridSide
@@ -388,7 +375,7 @@ func runGame(w v2i.Wire, n, c, parallel int, tol float64, rounds int) (gameRun, 
 	report, err := coord.Run(ctx)
 	wall := time.Since(start)
 	if err != nil {
-		return out, fmt.Errorf("wire %s: %w", w, err)
+		return out, fmt.Errorf("pipe=%v: %w", pipe, err)
 	}
 	_ = coord.Close()
 	wg.Wait()
@@ -406,10 +393,10 @@ func runGame(w v2i.Wire, n, c, parallel int, tol float64, rounds int) (gameRun, 
 func runGameAB(n, c, parallel int, tol float64, rounds int) (gameBench, error) {
 	out := gameBench{Fleet: n, Sections: c, Parallelism: parallel}
 	var err error
-	if out.JSON, err = runGame(v2i.WireJSON, n, c, parallel, tol, rounds); err != nil {
+	if out.JSON, err = runGame(false, n, c, parallel, tol, rounds); err != nil {
 		return out, err
 	}
-	if out.Binary, err = runGame(v2i.WireBinary, n, c, parallel, tol, rounds); err != nil {
+	if out.Binary, err = runGame(true, n, c, parallel, tol, rounds); err != nil {
 		return out, err
 	}
 	out.WelfareBitwiseEqual = math.Float64bits(out.JSON.Welfare) == math.Float64bits(out.Binary.Welfare) &&

@@ -100,7 +100,6 @@ type benchFile struct {
 	Sessions      int    `json:"sessions"`
 	MinConcurrent int    `json:"min_concurrent"`
 	Seed          int64  `json:"seed"`
-	Wire          string `json:"wire,omitempty"`
 	Scenario      string `json:"scenario,omitempty"`
 
 	Load     loadPhase     `json:"load"`
@@ -128,15 +127,9 @@ func run() error {
 	seed := flag.Int64("seed", 7, "base seed for session chaos plans")
 	out := flag.String("o", "BENCH_serve.json", "output path (- for stdout)")
 	check := flag.Bool("check", false, "exit non-zero unless every gate holds")
-	wire := flag.String("wire", "", `V2I links for load sessions: "json" (default; in-process channels, unicast quotes) or "binary" (pipe connections, QuoteBatch quotes)`)
 	scenarioRef := flag.String("scenario", "", "size every load-phase session from this named city archetype or scenario .json file")
 	flag.Parse()
 
-	switch *wire {
-	case "", "json", "binary":
-	default:
-		return fmt.Errorf("unknown -wire %q; use \"json\" or \"binary\"", *wire)
-	}
 	var base *serve.SessionSpec
 	if *scenarioRef != "" {
 		sc, err := scenario.Load(*scenarioRef)
@@ -149,9 +142,9 @@ func run() error {
 		}
 		base = &b
 	}
-	file := benchFile{Sessions: *sessions, MinConcurrent: *minConcurrent, Seed: *seed, Wire: *wire, Scenario: *scenarioRef}
+	file := benchFile{Sessions: *sessions, MinConcurrent: *minConcurrent, Seed: *seed, Scenario: *scenarioRef}
 
-	if err := runLoad(&file, *sessions, *hold, *smear, *seed, *wire, base); err != nil {
+	if err := runLoad(&file, *sessions, *hold, *smear, *seed, base); err != nil {
 		return fmt.Errorf("load phase: %w", err)
 	}
 	if err := runOverload(&file, *seed); err != nil {
@@ -200,7 +193,7 @@ func run() error {
 // to completion) while the solve starts spread out instead of
 // stampeding — the latency gate measures round time under bounded
 // solver load, not scheduler collapse.
-func loadSpec(i int, hold, smear time.Duration, seed int64, wire string, base *serve.SessionSpec) serve.SessionSpec {
+func loadSpec(i int, hold, smear time.Duration, seed int64, base *serve.SessionSpec) serve.SessionSpec {
 	spec := serve.SessionSpec{
 		Vehicles:  3,
 		Sections:  4,
@@ -212,7 +205,6 @@ func loadSpec(i int, hold, smear time.Duration, seed int64, wire string, base *s
 		// with per-session seeds, chaos, and churn below.
 		spec = *base
 	}
-	spec.Wire = wire
 	spec.Seed = seed + int64(i)*101
 	spec.HelloDelayMS = int(hold/time.Millisecond) + i*int(smear/time.Millisecond)
 	spec.MaxWallMS = 300_000
@@ -252,7 +244,7 @@ func scenarioBase(sc scenario.Spec) (serve.SessionSpec, error) {
 	return spec, nil
 }
 
-func runLoad(file *benchFile, n int, hold, smear time.Duration, seed int64, wire string, base *serve.SessionSpec) error {
+func runLoad(file *benchFile, n int, hold, smear time.Duration, seed int64, base *serve.SessionSpec) error {
 	s := serve.NewServer(serve.Config{
 		MaxSessions:    n + 16,
 		DefaultMaxWall: 2 * time.Minute,
@@ -263,7 +255,7 @@ func runLoad(file *benchFile, n int, hold, smear time.Duration, seed int64, wire
 	start := time.Now()
 	held := make([]*serve.Session, 0, n)
 	for i := 0; i < n; i++ {
-		spec := loadSpec(i, hold, smear, seed, wire, base)
+		spec := loadSpec(i, hold, smear, seed, base)
 		if spec.Chaos.DropRate > 0 {
 			file.Load.ChaosSessions++
 		}

@@ -71,16 +71,10 @@ func run() error {
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on overload rejections")
 	maxWall := flag.Duration("max-wall", 2*time.Minute, "default per-session wall budget")
 	journalDir := flag.String("journal-dir", "", "directory for session manifests + checkpoint stores; empty disables durability")
-	wire := flag.String("wire", "", `default V2I links for sessions that don't pick one: "json" (default; in-process channels, unicast quotes) or "binary" (pipe connections, QuoteBatch quotes)`)
 	fsync := flag.String("fsync", "", `checkpoint durability policy: "always" (default; acked saves survive power loss), "interval" or "never"`)
 	scenarioRef := flag.String("scenario", "", "admit one boot session from this named city archetype or scenario .json file")
 	flag.Parse()
 
-	switch *wire {
-	case "", "json", "binary":
-	default:
-		return fmt.Errorf("unknown -wire %q; use \"json\" or \"binary\"", *wire)
-	}
 	if _, err := store.ParseFsyncPolicy(*fsync); err != nil {
 		return err
 	}
@@ -100,7 +94,6 @@ func run() error {
 		DefaultMaxWall: *maxWall,
 		RetryAfter:     *retryAfter,
 		JournalDir:     *journalDir,
-		DefaultWire:    *wire,
 		Fsync:          *fsync,
 		Registry:       reg,
 		Sink:           sink,

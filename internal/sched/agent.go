@@ -96,21 +96,16 @@ type Agent struct {
 	// quote once one has been answered.
 	lastQuote   *v2i.Quote
 	lastQuoteAt time.Time
-	// lastAlloc is the own schedule row the grid last confirmed (exact
-	// float bits, both wires). A batched quote that elides the own row
-	// is reconstructed against it: others = totals − lastAlloc.
-	lastAlloc []float64
 	// degraded marks an autonomy episode in progress, so the next
 	// successful Recv counts as a reconnect.
 	degraded bool
 
-	// Buffers reused by every turn. quote, batch and sched are the
-	// decode targets of the grid's frames (a batch is answered through
-	// quote too) and req the outgoing request; spec and cost cache the
-	// last quoted section cost, compact the live-compacted background,
-	// and psi the payment function priced against it.
+	// Buffers reused by every turn. quote and sched are the decode
+	// targets of the grid's frames and req the outgoing request; spec
+	// and cost cache the last quoted section cost, compact the
+	// live-compacted background, and psi the payment function priced
+	// against it.
 	quote   v2i.Quote
-	batch   v2i.QuoteBatch
 	sched   v2i.ScheduleMsg
 	req     v2i.Request
 	spec    v2i.CostSpec
@@ -232,15 +227,12 @@ func (a *Agent) Handle(ctx context.Context, env v2i.Envelope, res *AgentResult) 
 	switch env.Type {
 	case v2i.TypeQuote:
 		err = a.answerQuote(ctx, env, res)
-	case v2i.TypeQuoteBatch:
-		err = a.answerBatch(ctx, env, res)
 	case v2i.TypeSchedule:
 		msg := &a.sched
 		*msg = v2i.ScheduleMsg{VehicleID: msg.VehicleID, AllocKW: msg.AllocKW[:0]}
 		if err = v2i.Open(env, v2i.TypeSchedule, msg); err == nil {
 			res.FinalAllocKW = append(res.FinalAllocKW[:0], msg.AllocKW...)
 			res.FinalPaymentH = msg.PaymentH
-			a.lastAlloc = append(a.lastAlloc[:0], msg.AllocKW...)
 		}
 	case v2i.TypeConverged:
 		res.Converged = true
@@ -274,71 +266,24 @@ func (a *Agent) answerQuote(ctx context.Context, env v2i.Envelope, res *AgentRes
 	if err := v2i.Open(env, v2i.TypeQuote, q); err != nil {
 		return err
 	}
-	return a.respond(ctx, q, 0, res)
-}
-
-// answerBatch answers a coalesced quote: reconstruct the private
-// background load as totals − own — own taken from the frame when
-// present, else from the last confirmed schedule row — then best
-// respond exactly as for a unicast quote. The request echoes a
-// checksum of the own row used, so a coordinator whose row cache
-// drifted (a lost ScheduleMsg) detects the desync and re-quotes with
-// the row inlined.
-func (a *Agent) answerBatch(ctx context.Context, env v2i.Envelope, res *AgentResult) error {
-	qb := &a.batch
-	*qb = v2i.QuoteBatch{
-		Cost: v2i.CostSpec{Kind: qb.Cost.Kind}, Live: qb.Live[:0], Totals: qb.Totals[:0], Own: qb.Own[:0],
-	}
-	if err := v2i.Open(env, v2i.TypeQuoteBatch, qb); err != nil {
-		return err
-	}
-	own := qb.Own
-	if own == nil {
-		if len(a.lastAlloc) == len(qb.Totals) {
-			own = a.lastAlloc
-		} else {
-			own = make([]float64, len(qb.Totals)) // never scheduled: zero row
-		}
-	} else {
-		if len(own) != len(qb.Totals) {
-			return fmt.Errorf("sched: agent %s: batch own width %d, totals width %d",
-				a.cfg.VehicleID, len(own), len(qb.Totals))
-		}
-		a.lastAlloc = append(a.lastAlloc[:0], own...) // the grid just told us our row authoritatively
-	}
-	q := &a.quote
-	*q = v2i.Quote{
-		VehicleID: a.cfg.VehicleID, Others: othersFrom(q.Others, qb.Totals, own),
-		Cost: qb.Cost, Round: qb.Round, Epoch: qb.Epoch,
-		FleetSize: qb.FleetSize, Live: qb.Live,
-	}
-	return a.respond(ctx, q, sum(own), res)
-}
-
-// respond computes the best response to a quote (unicast or
-// reconstructed from a batch) and sends the request. ownSum is echoed
-// as the batch desync checksum; unicast answers pass the zero value,
-// which the omitempty JSON field drops — unicast wire bytes are
-// unchanged.
-func (a *Agent) respond(ctx context.Context, quote *v2i.Quote, ownSum float64, res *AgentResult) error {
-	a.lastQuote = quote
+	a.lastQuote = q
 	if a.cfg.Autonomy != nil {
 		a.lastQuoteAt = now() // only the degraded-mode fallback reads it
 	}
-	if a.cost == nil || quote.Cost != a.spec {
-		cost, err := BuildCost(quote.Cost)
+	if a.cost == nil || q.Cost != a.spec {
+		cost, err := BuildCost(q.Cost)
 		if err != nil {
 			return err
 		}
-		a.cost, a.spec = cost, quote.Cost
+		a.cost, a.spec = cost, q.Cost
 	}
 	// A quote flagging dead sections prices only the live ones: the
 	// best response is computed over the compacted vector, and the
 	// grid water-fills the answer over the same live set.
-	others := quote.Others
-	if len(quote.Live) == len(others) {
+	others := q.Others
+	if len(q.Live) == len(others) {
 		compact := a.compact[:0]
-		for i, ok := range quote.Live {
+		for i, ok := range q.Live {
 			if ok {
 				compact = append(compact, others[i])
 			}
@@ -352,8 +297,8 @@ func (a *Agent) respond(ctx context.Context, quote *v2i.Quote, ownSum float64, r
 	a.seq++
 	a.req = v2i.Request{
 		VehicleID: a.cfg.VehicleID, TotalKW: request,
-		DrawCapKW: a.cfg.MaxSectionDrawKW, Round: quote.Round,
-		Epoch: quote.Epoch, OwnKWSum: ownSum,
+		DrawCapKW: a.cfg.MaxSectionDrawKW, Round: q.Round,
+		Epoch: q.Epoch,
 	}
 	err := v2i.SendMsg(ctx, a.link, v2i.TypeRequest, a.cfg.VehicleID, a.seq, &a.req)
 	if err != nil && !errors.Is(err, ctx.Err()) { // a send ctx cut short is a lost frame

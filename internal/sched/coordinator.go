@@ -359,24 +359,16 @@ type vehicle struct {
 	// section tree, a window of the tree's backing.
 	row  []float64
 	slot int
-	// sent is a copy of the row the vehicle last acknowledged (the
-	// row its last accepted ScheduleMsg carried), valid while synced.
-	// A batched quote elides the vehicle's own row only while sent is
-	// bit-identical to row; any divergence (outage zeroing, checkpoint
-	// restore) or a desynced answer puts the row back on the wire.
-	sent   []float64
-	synced bool
 	// lastSeq is the highest envelope sequence number accepted from
 	// the vehicle; frames at or below it are replays.
 	lastSeq uint64
 	// consecFails drives the circuit breaker.
 	consecFails int
-	// req is the decode target of the vehicle's replies; quote, batch
-	// and sched are the bodies its quotes and schedules are sealed
-	// from, reused so that sending one allocates only its sealed bytes.
+	// req is the decode target of the vehicle's replies; quote and
+	// sched are the bodies its quotes and schedules are sealed from,
+	// reused so that sending one allocates only its sealed bytes.
 	req   v2i.Request
 	quote v2i.Quote
-	batch v2i.QuoteBatch
 	sched v2i.ScheduleMsg
 }
 
@@ -468,7 +460,7 @@ func NewCoordinator(cfg CoordinatorConfig, links map[string]v2i.Transport) (*Coo
 // newVehicle makes a slot with a zero schedule row, not yet in the
 // table.
 func (c *Coordinator) newVehicle(id string, link v2i.Transport) *vehicle {
-	return &vehicle{id: id, link: link, sent: make([]float64, c.cfg.NumSections)}
+	return &vehicle{id: id, link: link}
 }
 
 // insertSlot adds a vehicle to the fleet table; a row already set on
@@ -948,12 +940,6 @@ func isDeparture(err error) bool {
 // errVehicleLeft marks a Bye received where a Request was expected.
 var errVehicleLeft = errors.New("sched: vehicle sent bye")
 
-// errOwnDesync marks a batch answer whose echoed own-row checksum does
-// not bit-match the coordinator's row: the vehicle best-responded
-// against the wrong own allocation. Retryable — the cached row is
-// invalidated, so the re-quote carries the row explicitly.
-var errOwnDesync = errors.New("sched: batch answer computed on desynced own row")
-
 // breakerTrips reports whether this failed turn is the vehicle's
 // EvictAfter-th consecutive failure.
 func (c *Coordinator) breakerTrips(v *vehicle) bool {
@@ -1019,7 +1005,7 @@ func (c *Coordinator) updateWithRetries(ctx context.Context, v *vehicle, round i
 // collectWithRetries is the retry loop around the network half of an
 // exchange, used by the batched rounds; the install half runs later on
 // Run's goroutine. Retry structure mirrors updateWithRetries.
-func (c *Coordinator) collectWithRetries(ctx context.Context, dl *deadline, v *vehicle, round int, others, totals []float64, epoch uint64) (v2i.Request, error) {
+func (c *Coordinator) collectWithRetries(ctx context.Context, dl *deadline, v *vehicle, round int, others []float64, epoch uint64) (v2i.Request, error) {
 	start := now()
 	deadline := start.Add(c.exchangeDeadline)
 	var lastErr error
@@ -1033,7 +1019,7 @@ func (c *Coordinator) collectWithRetries(ctx context.Context, dl *deadline, v *v
 				break
 			}
 		}
-		req, err := c.collectRequest(dl, v, round, others, totals, epoch, start)
+		req, err := c.collectRequest(dl, v, round, others, epoch, start)
 		if err == nil {
 			return req, nil
 		}
@@ -1069,8 +1055,7 @@ func (c *Coordinator) runBatchedRound(ctx context.Context, visit []*vehicle, rou
 		group := visit[lo:hi]
 		epoch := c.epoch
 		// One totals vector serves the whole block: every quote in it is
-		// against the same frozen background load, and on the binary
-		// wire the block shares the identical Totals payload.
+		// against the same frozen background load.
 		totals := c.totalsVec()
 		var wg sync.WaitGroup
 		for i, v := range group {
@@ -1078,7 +1063,7 @@ func (c *Coordinator) runBatchedRound(ctx context.Context, visit []*vehicle, rou
 			wg.Add(1)
 			go func(i int, v *vehicle) {
 				defer wg.Done()
-				reqs[i], errs[i] = c.collectWithRetries(ctx, c.batchDL[i], v, round, c.batchOthers[i], totals, epoch)
+				reqs[i], errs[i] = c.collectWithRetries(ctx, c.batchDL[i], v, round, c.batchOthers[i], epoch)
 			}(i, v)
 		}
 		wg.Wait()
@@ -1122,9 +1107,8 @@ func (c *Coordinator) backoff(ctx context.Context, dl *deadline, attempt int) er
 // (collectRequest) and the scheduling half (installRequest). from is
 // the clock reading the attempt began at.
 func (c *Coordinator) updateOne(dl *deadline, v *vehicle, round int, from time.Time) (float64, error) {
-	totals := c.totalsVec()
-	c.others = othersFrom(c.others, totals, v.row)
-	req, err := c.collectRequest(dl, v, round, c.others, totals, c.epoch, from)
+	c.others = othersFrom(c.others, c.totalsVec(), v.row)
+	req, err := c.collectRequest(dl, v, round, c.others, c.epoch, from)
 	if err != nil {
 		return 0, err
 	}
@@ -1140,15 +1124,7 @@ func (c *Coordinator) updateOne(dl *deadline, v *vehicle, round int, from time.T
 // (epoch mismatch) are counted and discarded, never water-filled. It
 // touches only the vehicle's own slot, never the schedule, so batched
 // rounds run it concurrently for several vehicles.
-//
-// When totals is non-nil and the link is a binary connection, the
-// quote goes out as a QuoteBatch: the shared section totals instead of
-// a per-vehicle background vector, with the vehicle's own row elided
-// whenever the slot's sent copy proves the vehicle already holds it
-// bit for bit. The agent reconstructs others = totals − own locally
-// and echoes a checksum of the own row it used; a checksum mismatch
-// invalidates the copy and retries with the row inlined.
-func (c *Coordinator) collectRequest(dl *deadline, v *vehicle, round int, others, totals []float64, epoch uint64, from time.Time) (v2i.Request, error) {
+func (c *Coordinator) collectRequest(dl *deadline, v *vehicle, round int, others []float64, epoch uint64, from time.Time) (v2i.Request, error) {
 	dl.armFrom(from, c.cfg.RoundTimeout)
 	defer dl.disarm()
 
@@ -1156,29 +1132,12 @@ func (c *Coordinator) collectRequest(dl *deadline, v *vehicle, round int, others
 	if c.liveIdx != nil {
 		liveMask = c.live
 	}
-	batched := totals != nil && v2i.WireOf(v.link) == v2i.WireBinary
-	if batched {
-		var own []float64
-		if !v.inSync() {
-			own = v.row
-		}
-		v.batch = v2i.QuoteBatch{
-			Round: round, Epoch: epoch, FleetSize: len(c.slots),
-			Cost: c.cfg.Cost, Live: liveMask, Totals: totals, Own: own,
-		}
-		err := v2i.SendMsg(dl, v.link, v2i.TypeQuoteBatch, "smart-grid", c.nextSeq(), &v.batch)
-		if err != nil {
-			return v2i.Request{}, fmt.Errorf("send quote: %w", err)
-		}
-	} else {
-		v.quote = v2i.Quote{
-			VehicleID: v.id, Others: others, Cost: c.cfg.Cost, Round: round, Epoch: epoch,
-			FleetSize: len(c.slots), Live: liveMask,
-		}
-		err := v2i.SendMsg(dl, v.link, v2i.TypeQuote, "smart-grid", c.nextSeq(), &v.quote)
-		if err != nil {
-			return v2i.Request{}, fmt.Errorf("send quote: %w", err)
-		}
+	v.quote = v2i.Quote{
+		VehicleID: v.id, Others: others, Cost: c.cfg.Cost, Round: round, Epoch: epoch,
+		FleetSize: len(c.slots), Live: liveMask,
+	}
+	if err := v2i.SendMsg(dl, v.link, v2i.TypeQuote, "smart-grid", c.nextSeq(), &v.quote); err != nil {
+		return v2i.Request{}, fmt.Errorf("send quote: %w", err)
 	}
 	c.cfg.Metrics.observeQuote(v.id, round, epoch, len(c.slots))
 
@@ -1214,27 +1173,7 @@ func (c *Coordinator) collectRequest(dl *deadline, v *vehicle, round int, others
 	if req.TotalKW < 0 || math.IsNaN(req.TotalKW) || math.IsInf(req.TotalKW, 0) {
 		return v2i.Request{}, fmt.Errorf("invalid request %v", req.TotalKW)
 	}
-	if batched && math.Float64bits(req.OwnKWSum) != math.Float64bits(sum(v.row)) {
-		v.synced = false
-		c.countStale()
-		return v2i.Request{}, errOwnDesync
-	}
 	return *req, nil
-}
-
-// inSync reports whether the vehicle's acknowledged row is
-// bit-identical to its live schedule row, i.e. a batch quote may elide
-// it.
-func (v *vehicle) inSync() bool {
-	if !v.synced {
-		return false
-	}
-	for i := range v.row {
-		if math.Float64bits(v.sent[i]) != math.Float64bits(v.row[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // acceptSeq records an envelope sequence number, reporting whether the
@@ -1295,11 +1234,6 @@ func (c *Coordinator) installRequest(dl *deadline, v *vehicle, round int, others
 	if err != nil {
 		return 0, fmt.Errorf("send schedule: %w", err)
 	}
-	// The vehicle now holds this exact row (both wires transmit exact
-	// float bits), so future batch quotes may elide it. Keep a copy —
-	// outage handling mutates schedule rows in place.
-	copy(v.sent, v.row)
-	v.synced = true
 	c.cfg.Metrics.observePropose(v.id, round, c.epoch, req.TotalKW)
 	return math.Abs(req.TotalKW - before), nil
 }
@@ -1397,15 +1331,13 @@ func (c *Coordinator) broadcastDone(report Report) {
 
 // totalsVec returns the full P_c vector: the section tree's root, a
 // pairwise fold of the rows in slot (sorted vehicle-ID) order. The
-// slice is the tree's own and changes with the next row write. Both
-// wires derive each vehicle's background load from it as totals − own,
-// so the unicast quote and the batched one agree bit for bit.
+// slice is the tree's own and changes with the next row write. Every
+// quote derives its vehicle's background load from it as totals − own.
 func (c *Coordinator) totalsVec() []float64 { return c.tree.root() }
 
 // othersFrom derives P_−n as totals − own, elementwise, into dst's
-// storage. This is the exact arithmetic a batch-quoted agent performs
-// locally, so the coordinator uses the same derivation on the unicast
-// path — the two wires then quote bit-identical background loads.
+// storage. A sequential turn and a batched block quote through the
+// same derivation, so their background loads agree bit for bit.
 func othersFrom(dst, totals, own []float64) []float64 {
 	dst = append(dst[:0], totals...)
 	for i := range dst {

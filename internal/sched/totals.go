@@ -8,8 +8,8 @@ package sched
 //
 // The root is a pure function of the current rows — no running
 // add/subtract, so no drift and no dependence on the order the rows
-// were written in — and both wires derive others = totals − own from
-// it. An install recomputes only the ⌈log₂N⌉ ancestors of the row it
+// were written in — and every quote derives others = totals − own
+// from it. An install recomputes only the ⌈log₂N⌉ ancestors of the row it
 // wrote, O(C log N) where re-summing every row was O(N·C); a bulk
 // writer (an outage's re-projection, a checkpoint restore, a takeover's
 // projection, a membership change) rebuilds the tree once in O(N·C).

@@ -13,12 +13,12 @@ import (
 	"olevgrid/internal/v2i"
 )
 
-// runWireGame runs a clean n-vehicle game over the given wire and
-// returns the coordinator's report: WireJSON plays it on in-memory
-// channel pairs (the links serve and perfbench use), WireBinary on
-// connection-backed pipe pairs. Everything else — seeds, weights,
-// tolerances — is held fixed, so two calls differ only in the links.
-func runWireGame(t *testing.T, w v2i.Wire, n, sections int) Report {
+// runWireGame runs a clean n-vehicle game and returns the
+// coordinator's report: on in-memory channel pairs (the links serve
+// and perfbench use), or with pipe on connection-backed pipe pairs.
+// Everything else — seeds, weights, tolerances — is held fixed, so two
+// calls differ only in the links.
+func runWireGame(t *testing.T, pipe bool, n, sections int) Report {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -28,7 +28,7 @@ func runWireGame(t *testing.T, w v2i.Wire, n, sections int) Report {
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("ev-%02d", i)
 		gridSide, vehSide := v2i.NewPair(64)
-		if w == v2i.WireBinary {
+		if pipe {
 			gridSide, vehSide = v2i.NewPipePair()
 		}
 		links[id] = gridSide
@@ -64,32 +64,30 @@ func runWireGame(t *testing.T, w v2i.Wire, n, sections int) Report {
 	}
 	report, err := coord.Run(ctx)
 	if err != nil {
-		t.Fatalf("wire %s run: %v", w, err)
+		t.Fatalf("pipe=%v run: %v", pipe, err)
 	}
 	_ = coord.Close()
 	wg.Wait()
 	if !report.Converged {
-		t.Fatalf("wire %s: game did not converge in %d rounds", w, report.Rounds)
+		t.Fatalf("pipe=%v: game did not converge in %d rounds", pipe, report.Rounds)
 	}
 	return report
 }
 
 // TestWireWelfareBitEquality is the cross-codec determinism gate: the
-// same game played over in-memory links (sealed envelopes, unicast
-// quotes) and over binary connections (coalesced QuoteBatch frames,
-// own rows elided once acknowledged)
-// must land on the same equilibrium to the last bit — welfare, rounds,
-// every request, and every schedule row. This holds because both wires
-// transmit exact float64 bits and both sides derive the background load
-// the same way (others = totals − own, totals accumulated in sorted
-// vehicle-ID order).
+// same game played over in-memory links (sealed envelopes) and over
+// binary connections (length-prefixed frames) must land on the same
+// equilibrium to the last bit — welfare, rounds, every request, and
+// every schedule row. This holds because both links carry the same
+// unicast quotes as exact float64 bits, each derived as totals − own
+// with totals accumulated in sorted vehicle-ID order.
 func TestWireWelfareBitEquality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-wire game takes seconds")
 	}
 	const n, sections = 12, 8
-	jr := runWireGame(t, v2i.WireJSON, n, sections)
-	br := runWireGame(t, v2i.WireBinary, n, sections)
+	jr := runWireGame(t, false, n, sections)
+	br := runWireGame(t, true, n, sections)
 
 	if jr.Rounds != br.Rounds {
 		t.Errorf("rounds: json %d, binary %d", jr.Rounds, br.Rounds)
@@ -128,12 +126,15 @@ func TestWireWelfareBitEquality(t *testing.T) {
 // bodies carry float bits, so the sender no longer refuses it — and
 // the coordinator rejects it as an invalid request on both.
 func TestNaNRequestRejectedOnEveryLink(t *testing.T) {
-	for _, w := range []v2i.Wire{v2i.WireJSON, v2i.WireBinary} {
-		t.Run(w.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pipe bool
+	}{{"json", false}, {"binary", true}} {
+		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 			defer cancel()
 			gridSide, vehSide := v2i.NewPair(16)
-			if w == v2i.WireBinary {
+			if tc.pipe {
 				gridSide, vehSide = v2i.NewPipePair()
 			}
 			coord, err := NewCoordinator(CoordinatorConfig{
@@ -149,8 +150,8 @@ func TestNaNRequestRejectedOnEveryLink(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The scripted vehicle answers every quote, unicast or
-			// batched, with a NaN total for the quoted epoch.
+			// The scripted vehicle answers every quote with a NaN
+			// total for the quoted epoch.
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
@@ -160,12 +161,7 @@ func TestNaNRequestRejectedOnEveryLink(t *testing.T) {
 						return
 					}
 					var q v2i.Quote
-					var qb v2i.QuoteBatch
-					switch {
-					case v2i.Open(env, v2i.TypeQuote, &q) == nil:
-					case v2i.Open(env, v2i.TypeQuoteBatch, &qb) == nil:
-						q.Round, q.Epoch = qb.Round, qb.Epoch
-					default:
+					if v2i.Open(env, v2i.TypeQuote, &q) != nil {
 						continue
 					}
 					if err := v2i.SendMsg(ctx, vehSide, v2i.TypeRequest, "nan", seq, &v2i.Request{

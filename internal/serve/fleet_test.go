@@ -28,7 +28,7 @@ func TestFleetCloseWithinGrace(t *testing.T) {
 			spec := SessionSpec{Vehicles: 12, Sections: 8, Seed: 5, Chaos: tc.chaos}.withDefaults(time.Minute)
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
-			f, err := newFleet(ctx, spec)
+			f, err := newFleet(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,14 +51,14 @@ func TestFleetCloseWithinGrace(t *testing.T) {
 	}
 }
 
-// TestInlineFleetStartsNoGoroutine: on the default wire a fleet's
+// TestInlineFleetStartsNoGoroutine: a fleet's
 // agents answer on the sender's goroutine, so assembling a fleet —
 // clean or behind the chaos injector — starts no goroutine per vehicle.
 func TestInlineFleetStartsNoGoroutine(t *testing.T) {
 	for _, chaos := range []ChaosSpec{{}, {DropRate: 0.1, DuplicateRate: 0.1, ReorderRate: 0.1, MaxDelayMS: 5}} {
 		spec := SessionSpec{Vehicles: 50, Sections: 8, Seed: 5, Chaos: chaos}.withDefaults(time.Minute)
 		before := runtime.NumGoroutine()
-		f, err := newFleet(context.Background(), spec)
+		f, err := newFleet(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

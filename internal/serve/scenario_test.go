@@ -59,7 +59,7 @@ func TestDecodeSessionSpecScenarioAccepts(t *testing.T) {
 	for _, raw := range []string{
 		`{"scenario":"rush-hour-surge"}`,
 		`{"scenario":"blackout-recovery","seed":99,"tolerance":0.001,"max_rounds":500}`,
-		`{"scenario":"depot-overnight","wire":"binary","parallelism":4}`,
+		`{"scenario":"depot-overnight","parallelism":4}`,
 	} {
 		if _, err := DecodeSessionSpec([]byte(raw)); err != nil {
 			t.Errorf("DecodeSessionSpec(%s): %v", raw, err)

@@ -62,14 +62,12 @@ func TestSessionLifecycleConverges(t *testing.T) {
 	}
 }
 
-// A session on the binary wire — coalesced QuoteBatch frames over
-// connection-backed pipes — walks the same lifecycle to the same
-// converged state as the JSON default.
-func TestSessionBinaryWireConverges(t *testing.T) {
+// A session whose quotes go out in parallel blocks walks the same
+// lifecycle to a converged state.
+func TestSessionParallelConverges(t *testing.T) {
 	s := NewServer(Config{MaxSessions: 4, Registry: obs.NewRegistry()})
 	defer s.Close()
 	spec := smallSpec(1)
-	spec.Wire = "binary"
 	spec.Parallelism = 2
 	sess, err := s.Create(spec)
 	if err != nil {
@@ -78,22 +76,7 @@ func TestSessionBinaryWireConverges(t *testing.T) {
 	waitState(t, sess, StateDone, 10*time.Second)
 	v := sess.View()
 	if !v.Converged || v.Rounds == 0 {
-		t.Fatalf("binary-wire session not converged: %+v", v)
-	}
-}
-
-// A server default wire applies to specs that leave it unset, and the
-// session still converges.
-func TestServerDefaultWireBinary(t *testing.T) {
-	s := NewServer(Config{MaxSessions: 4, DefaultWire: "binary"})
-	defer s.Close()
-	sess, err := s.Create(smallSpec(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, sess, StateDone, 10*time.Second)
-	if v := sess.View(); !v.Converged {
-		t.Fatalf("default-binary session not converged: %+v", v)
+		t.Fatalf("parallel session not converged: %+v", v)
 	}
 }
 

@@ -40,12 +40,6 @@ type Config struct {
 	// still-running rest, and a later boot's journal scan resumes
 	// them. Empty runs memory-only.
 	JournalDir string
-	// DefaultWire picks the V2I links for per-vehicle sessions whose
-	// spec leaves wire unset: "" or "json" keeps in-process channel
-	// links with unicast quotes, "binary" runs each vehicle over a pipe
-	// connection with QuoteBatch quotes (see SessionSpec.Wire).
-	// Per-session specs override it.
-	DefaultWire string
 	// Store is ignored: every durable session checkpoints to its own
 	// segment store (<id>.store under JournalDir).
 	//
@@ -189,18 +183,7 @@ func (s *Server) Create(spec SessionSpec) (*Session, error) {
 		s.metrics.RejectedInvalid.Inc()
 		return nil, err
 	}
-	spec = s.applyDefaultWire(spec.withDefaults(s.cfg.DefaultMaxWall))
-	return s.admit(spec, nil, false)
-}
-
-// applyDefaultWire fills the server's default V2I wire into a
-// per-vehicle spec that left it unset; the aggregated tier has no
-// links, so a mean-field spec is left alone.
-func (s *Server) applyDefaultWire(spec SessionSpec) SessionSpec {
-	if spec.Wire == "" && spec.Solver != SolverMeanField {
-		spec.Wire = s.cfg.DefaultWire
-	}
-	return spec
+	return s.admit(spec.withDefaults(s.cfg.DefaultMaxWall), nil, false)
 }
 
 // admit is the single admission path for fresh and resumed sessions.
@@ -369,7 +352,7 @@ func (s *Server) runSession(ctx context.Context, sess *Session) {
 		return
 	}
 
-	f, err := newFleet(ctx, spec)
+	f, err := newFleet(spec)
 	if err != nil {
 		s.finish(sess, StateFailed, err.Error())
 		return
@@ -387,7 +370,7 @@ func (s *Server) runSession(ctx context.Context, sess *Session) {
 	// The churn hook needs the coordinator that doesn't exist yet;
 	// OnRound only fires from Run, after the holder is filled.
 	var coordHolder *sched.Coordinator
-	cfg.OnRound = churnHook(ctx, spec, f, func() *sched.Coordinator { return coordHolder })
+	cfg.OnRound = churnHook(spec, f, func() *sched.Coordinator { return coordHolder })
 
 	var coord *sched.Coordinator
 	if sess.takeover != nil {
@@ -567,7 +550,7 @@ func (s *Server) finishCtx(ctx context.Context, sess *Session, report sched.Repo
 // scripted join admits a fresh vehicle through the live Join path.
 // OnRound fires on Run's goroutine, strictly after construction, so
 // the late-bound coordinator accessor is always filled by then.
-func churnHook(ctx context.Context, spec SessionSpec, f *fleet, coord func() *sched.Coordinator) func(int) {
+func churnHook(spec SessionSpec, f *fleet, coord func() *sched.Coordinator) func(int) {
 	if spec.JoinAtRound == 0 && spec.LeaveAtRound == 0 {
 		return nil
 	}
@@ -582,7 +565,7 @@ func churnHook(ctx context.Context, spec SessionSpec, f *fleet, coord func() *sc
 		if spec.JoinAtRound > 0 && round >= spec.JoinAtRound && !joined {
 			joined = true
 			id := fmt.Sprintf("ev-join-%03d", spec.Vehicles)
-			if gl, err := f.launchVehicle(ctx, spec, id, spec.Vehicles); err == nil {
+			if gl, err := f.launchVehicle(spec, id, spec.Vehicles); err == nil {
 				_ = coord().Join(id, gl)
 			}
 		}
@@ -659,7 +642,7 @@ func (s *Server) ResumeScanned() ([]Decision, error) {
 		}
 		spec := d.Spec
 		spec.ID = d.ID
-		spec = s.applyDefaultWire(spec.withDefaults(s.cfg.DefaultMaxWall))
+		spec = spec.withDefaults(s.cfg.DefaultMaxWall)
 		var takeover *sched.Takeover
 		if d.HasCheckpoint {
 			// Fence above the dead incarnation's checkpoint exactly as

@@ -172,15 +172,12 @@ func (s *Session) Cancel() {
 // fleet is a session's in-process vehicle population: one agent per
 // OLEV, optionally behind a seeded fault injector on both ends of its
 // link — the same protocol stack and chaos plans the acceptance suites
-// use. On the default wire each agent answers inline, on the goroutine
-// that sends it a frame, so a session is one coordinator goroutine
-// (plus the collectors of a batched round) and no goroutine per
-// vehicle; the "binary" wire runs each agent on its own goroutine over
-// a connection-backed pipe, which wg tracks.
+// use. Each agent answers inline, on the goroutine that sends it a
+// frame, so a session is one coordinator goroutine (plus the
+// collectors of a batched round) and no goroutine per vehicle.
 type fleet struct {
 	links map[string]v2i.Transport
 	raw   []v2i.Transport
-	wg    sync.WaitGroup
 }
 
 // weight gives vehicle i its satisfaction weight — the same mild
@@ -213,24 +210,12 @@ func chaosFor(spec SessionSpec, i int) v2i.FaultConfig {
 // found the inbox full would count as lost.
 const fleetLinkBuffer = 8
 
-// launchVehicle builds one agent over its link and returns the
-// grid-side transport. On the default wire the agent is bound to an
-// inline pair and starts no goroutine. A "binary" wire spec runs the
-// agent on its own goroutine over a connection-backed pipe pair
-// instead, so the session exercises the same binary frames a TCP
-// deployment does.
-func (f *fleet) launchVehicle(ctx context.Context, spec SessionSpec, id string, i int) (v2i.Transport, error) {
-	var gridSide, vehicleSide v2i.Transport
-	var inline *v2i.InlineGrid
-	if spec.Wire == "binary" {
-		gridSide, vehicleSide = v2i.NewPipePair()
-		f.raw = append(f.raw, vehicleSide)
-	} else {
-		inline, vehicleSide = v2i.NewInlinePair(fleetLinkBuffer)
-		gridSide = inline
-	}
-	f.raw = append(f.raw, gridSide)
-	var gl, vl v2i.Transport = gridSide, vehicleSide
+// launchVehicle builds one agent bound to an inline pair and returns
+// the grid-side transport; it starts no goroutine.
+func (f *fleet) launchVehicle(spec SessionSpec, id string, i int) (v2i.Transport, error) {
+	inline, vehicleSide := v2i.NewInlinePair(fleetLinkBuffer)
+	f.raw = append(f.raw, inline)
+	var gl, vl v2i.Transport = inline, vehicleSide
 	if spec.Chaos.enabled() {
 		gl = v2i.NewFaulty(gl, chaosFor(spec, i))
 		vl = v2i.NewFaulty(vl, chaosFor(spec, 10_000+i))
@@ -245,28 +230,16 @@ func (f *fleet) launchVehicle(ctx context.Context, spec SessionSpec, id string, 
 	if err != nil {
 		return nil, err
 	}
-	if inline != nil {
-		inline.Bind(agent.Handler(new(sched.AgentResult)))
-		return gl, nil
-	}
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		_, _ = agent.Run(ctx)
-		// A synchronous pipe has no reader once the agent exits; close
-		// it so the coordinator's farewell Bye fails fast instead of
-		// waiting out the shutdown grace.
-		_ = vl.Close()
-	}()
+	inline.Bind(agent.Handler(new(sched.AgentResult)))
 	return gl, nil
 }
 
 // newFleet assembles the session's initial fleet.
-func newFleet(ctx context.Context, spec SessionSpec) (*fleet, error) {
+func newFleet(spec SessionSpec) (*fleet, error) {
 	f := &fleet{links: make(map[string]v2i.Transport, spec.Vehicles)}
 	for i := 0; i < spec.Vehicles; i++ {
 		id := fmt.Sprintf("ev-%03d", i)
-		gl, err := f.launchVehicle(ctx, spec, id, i)
+		gl, err := f.launchVehicle(spec, id, i)
 		if err != nil {
 			f.stop()
 			return nil, err
@@ -276,13 +249,11 @@ func newFleet(ctx context.Context, spec SessionSpec) (*fleet, error) {
 	return f, nil
 }
 
-// stop closes every raw link and waits for the binary wire's agent
-// goroutines.
+// stop closes every raw link.
 func (f *fleet) stop() {
 	for _, l := range f.raw {
 		_ = l.Close()
 	}
-	f.wg.Wait()
 }
 
 // coordinatorConfig maps a session spec onto the control plane's

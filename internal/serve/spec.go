@@ -57,7 +57,7 @@ type SessionSpec struct {
 	// Setting it alongside any of the fields it would fill (vehicles,
 	// sections, line_capacity_kw, beta_per_kwh, outages) is a conflict
 	// and rejected; seed and the runtime knobs (tolerance, rounds,
-	// wire, chaos, churn, …) remain caller overrides.
+	// parallelism, chaos, churn, …) remain caller overrides.
 	Scenario string `json:"scenario,omitempty"`
 	// FromScenario records, informationally, which archetype an
 	// expanded spec came from. Server-written; harmless if a caller
@@ -107,16 +107,6 @@ type SessionSpec struct {
 	// Zero disables either.
 	JoinAtRound  int `json:"join_at_round,omitempty"`
 	LeaveAtRound int `json:"leave_at_round,omitempty"`
-
-	// Wire selects the links of the session's fleet. "" or "json" (the
-	// default; the name predates binary sealed bodies) passes sealed
-	// envelopes over in-process channels, with one unicast quote per
-	// vehicle. "binary" runs each vehicle over a connection-backed
-	// pipe, which carries the length-prefixed binary frames every
-	// connection speaks, with coalesced QuoteBatch quotes. Both carry
-	// the same typed-binary bodies and exact float64 bits, so the
-	// equilibrium is identical either way.
-	Wire string `json:"wire,omitempty"`
 
 	// Outages scripts charging-section failures and restorations by
 	// round boundary, mapped onto the coordinator's outage machinery
@@ -241,17 +231,6 @@ func (s SessionSpec) Validate() error {
 		}
 	default:
 		return fmt.Errorf("serve: unknown solver %q", s.Solver)
-	}
-	switch s.Wire {
-	case "", "json":
-	case "binary":
-		// The aggregated tier has no per-vehicle links, so there is no
-		// wire to pick.
-		if s.Solver == SolverMeanField {
-			return fmt.Errorf("serve: wire %q requires the per-vehicle solver", s.Wire)
-		}
-	default:
-		return fmt.Errorf("serve: unknown wire %q; use \"json\" or \"binary\"", s.Wire)
 	}
 	if s.Scenario == "" && (s.Sections < 1 || s.Sections > MaxSections) {
 		return fmt.Errorf("serve: sections %d outside [1, %d]", s.Sections, MaxSections)

@@ -44,14 +44,13 @@ const bodyBinary = 0
 
 // Message type codes. 0 is reserved as invalid.
 var binCodes = map[MessageType]byte{
-	TypeHello:      1,
-	TypeQuote:      2,
-	TypeRequest:    3,
-	TypeSchedule:   4,
-	TypeConverged:  5,
-	TypeBye:        6,
-	TypeHeartbeat:  7,
-	TypeQuoteBatch: 8,
+	TypeHello:     1,
+	TypeQuote:     2,
+	TypeRequest:   3,
+	TypeSchedule:  4,
+	TypeConverged: 5,
+	TypeBye:       6,
+	TypeHeartbeat: 7,
 }
 
 var binTypes = [...]MessageType{
@@ -62,7 +61,6 @@ var binTypes = [...]MessageType{
 	5: TypeConverged,
 	6: TypeBye,
 	7: TypeHeartbeat,
-	8: TypeQuoteBatch,
 }
 
 // --- append-style encoders -------------------------------------------------
@@ -168,24 +166,6 @@ func appendQuote(dst []byte, m *Quote) ([]byte, error) {
 	return dst, nil
 }
 
-func appendQuoteBatch(dst []byte, m *QuoteBatch) ([]byte, error) {
-	dst, err := appendI32(dst, m.Round)
-	if err != nil {
-		return dst, err
-	}
-	dst = appendU64(dst, m.Epoch)
-	if dst, err = appendI32(dst, m.FleetSize); err != nil {
-		return dst, err
-	}
-	if dst, err = appendCostSpec(dst, &m.Cost); err != nil {
-		return dst, err
-	}
-	dst = appendBools(dst, m.Live)
-	dst = appendF64s(dst, m.Totals)
-	dst = appendF64s(dst, m.Own)
-	return dst, nil
-}
-
 func appendRequest(dst []byte, m *Request) ([]byte, error) {
 	dst, err := appendStr16(dst, m.VehicleID)
 	if err != nil {
@@ -196,9 +176,7 @@ func appendRequest(dst []byte, m *Request) ([]byte, error) {
 	if dst, err = appendI32(dst, m.Round); err != nil {
 		return dst, err
 	}
-	dst = appendU64(dst, m.Epoch)
-	dst = appendF64(dst, m.OwnKWSum)
-	return dst, nil
+	return appendU64(dst, m.Epoch), nil
 }
 
 func appendSchedule(dst []byte, m *ScheduleMsg) ([]byte, error) {
@@ -245,10 +223,8 @@ func binaryBodySize(body any) int {
 		return str16Size(m.VehicleID) + 3*8
 	case *Quote:
 		return str16Size(m.VehicleID) + f64sSize(m.Others) + costSpecSize(&m.Cost) + 4 + 8 + 4 + 4 + len(m.Live)
-	case *QuoteBatch:
-		return 4 + 8 + 4 + costSpecSize(&m.Cost) + 4 + len(m.Live) + f64sSize(m.Totals) + f64sSize(m.Own)
 	case *Request:
-		return str16Size(m.VehicleID) + 8 + 8 + 4 + 8 + 8
+		return str16Size(m.VehicleID) + 8 + 8 + 4 + 8
 	case *ScheduleMsg:
 		return str16Size(m.VehicleID) + f64sSize(m.AllocKW) + 8 + 4
 	case *Converged:
@@ -273,10 +249,6 @@ func appendBinaryBody(dst []byte, body any) (_ []byte, ok bool, err error) {
 		dst, err = appendQuote(dst, m)
 	case Quote:
 		dst, err = appendQuote(dst, &m)
-	case *QuoteBatch:
-		dst, err = appendQuoteBatch(dst, m)
-	case QuoteBatch:
-		dst, err = appendQuoteBatch(dst, &m)
 	case *Request:
 		dst, err = appendRequest(dst, m)
 	case Request:
@@ -663,21 +635,12 @@ func decodeBinaryBody(typ MessageType, body []byte, d *FrameDecoder, out any) er
 		m.Epoch = r.u64()
 		m.FleetSize = r.i32()
 		m.Live = r.bools(m.Live)
-	case *QuoteBatch:
-		m.Round = r.i32()
-		m.Epoch = r.u64()
-		m.FleetSize = r.i32()
-		decodeCostSpec(&r, d, &m.Cost)
-		m.Live = r.bools(m.Live)
-		m.Totals = r.f64s(m.Totals)
-		m.Own = r.f64s(m.Own)
 	case *Request:
 		m.VehicleID = r.str(d, m.VehicleID)
 		m.TotalKW = r.f64()
 		m.DrawCapKW = r.f64()
 		m.Round = r.i32()
 		m.Epoch = r.u64()
-		m.OwnKWSum = r.f64()
 	case *ScheduleMsg:
 		m.VehicleID = r.str(d, m.VehicleID)
 		m.AllocKW = r.f64s(m.AllocKW)

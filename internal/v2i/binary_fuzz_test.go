@@ -54,12 +54,7 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 			Cost: CostSpec{Kind: "nonlinear", BetaPerKWh: 0.02, Alpha: 0.875, LineCapacityKW: 50},
 			Live: []bool{true, false, true},
 		}},
-		{TypeQuoteBatch, &QuoteBatch{
-			Round: 2, Epoch: 9, FleetSize: 3,
-			Cost:   CostSpec{Kind: "nonlinear", BetaPerKWh: 0.02},
-			Totals: []float64{4.5, 2, 0.25}, Own: []float64{1, 0, 0.25},
-		}},
-		{TypeRequest, &Request{VehicleID: "olev-01", TotalKW: 41.5, DrawCapKW: 12, Round: 2, Epoch: 9, OwnKWSum: 1.25}},
+		{TypeRequest, &Request{VehicleID: "olev-01", TotalKW: 41.5, DrawCapKW: 12, Round: 2, Epoch: 9}},
 		{TypeSchedule, &ScheduleMsg{VehicleID: "olev-01", AllocKW: []float64{2, 0, 1}, PaymentH: 0.8, Round: 2}},
 		{TypeConverged, &Converged{Rounds: 11, CongestionDegree: 0.9, WelfarePerHour: 120}},
 		{TypeBye, &Bye{Reason: "session complete"}},
@@ -89,8 +84,12 @@ func FuzzDecodeBinaryFrame(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
-	f.Add(append([]byte{12, 0, 0, 0}, make([]byte, 12)...)) // min payload, all zero
-	f.Add(append([]byte{255, 255, 255, 255}, quote...))     // absurd length prefix
+	f.Add(append([]byte{12, 0, 0, 0}, make([]byte, 12)...))    // min payload, all zero
+	f.Add(append([]byte{12, 0, 0, 0, 8}, make([]byte, 11)...)) // retired type code 8
+	retired := bytes.Clone(quote)
+	retired[binLenPrefix] = 8 // a quote frame under the retired coalesced-quote code
+	f.Add(retired)
+	f.Add(append([]byte{255, 255, 255, 255}, quote...)) // absurd length prefix
 	f.Add([]byte(`{"type":"hello","from":"olev-01","seq":1}` + "\n"))
 
 	// MaxFrameBytes boundaries: one byte under (accepted), exactly at
@@ -140,8 +139,6 @@ func newBodyFor(typ MessageType) any {
 		return new(Hello)
 	case TypeQuote:
 		return new(Quote)
-	case TypeQuoteBatch:
-		return new(QuoteBatch)
 	case TypeRequest:
 		return new(Request)
 	case TypeSchedule:
@@ -230,7 +227,7 @@ func FuzzWireEquivalence(f *testing.F) {
 		}, new(Quote), new(Quote))
 		check(TypeRequest, &Request{
 			VehicleID: vid, TotalKW: float64(kw) / 2, DrawCapKW: float64(kw % 97),
-			Round: round, Epoch: epoch, OwnKWSum: float64(kw) / 16,
+			Round: round, Epoch: epoch,
 		}, new(Request), new(Request))
 		check(TypeSchedule, &ScheduleMsg{
 			VehicleID: vid, AllocKW: vals, PaymentH: float64(kw) / 32, Round: round,
@@ -257,7 +254,7 @@ func jsonBodyCases() []jsonBodyCase {
 			}
 		}},
 		{TypeRequest, func() any { return new(Request) }, func() any {
-			return &Request{VehicleID: "old", TotalKW: 1, DrawCapKW: 2, Round: 3, Epoch: 4, OwnKWSum: 5}
+			return &Request{VehicleID: "old", TotalKW: 1, DrawCapKW: 2, Round: 3, Epoch: 4}
 		}},
 		{TypeSchedule, func() any { return new(ScheduleMsg) }, func() any {
 			return &ScheduleMsg{VehicleID: "old", AllocKW: []float64{7, 7}, PaymentH: 8, Round: 9}
@@ -287,9 +284,9 @@ func jsonBodySeeds(typ MessageType) []string {
 			` { "round" : 2 , "others" : [ 1 , 2 ] } `, `null`, `[]`, `{}`, `{`, ``,
 		}
 	case TypeRequest:
-		canon = []any{&Request{}, &Request{VehicleID: "ev-001", TotalKW: 41.5, DrawCapKW: 12, Round: 2, Epoch: 9, OwnKWSum: 1e-7}}
+		canon = []any{&Request{}, &Request{VehicleID: "ev-001", TotalKW: 41.5, DrawCapKW: 12, Round: 2, Epoch: 9}}
 		extra = []string{
-			`{"epoch":9,"own_kw_sum":3,"total_kw":1,"vehicle_id":"ev","round":2,"draw_cap_kw":2.5}`,
+			`{"epoch":9,"total_kw":1,"vehicle_id":"ev","round":2,"draw_cap_kw":2.5}`,
 			`{"total_kw":1,"total_kw":2}`, `{"Total_KW":1}`, `{"vehicle_id":"\u00e9v"}`,
 			`{"total_kw":-0}`, `{"total_kw":1E+2}`, `{"round":9223372036854775808}`,
 			`{"epoch":18446744073709551616}`, `{"total_kw":"1"}`, `{"total_kw":+1}`,

@@ -139,7 +139,8 @@ func (f *Faulty) Recv(ctx context.Context) (Envelope, error) {
 	return f.inner.Recv(ctx)
 }
 
-// Unwrap exposes the wrapped transport to WireOf. Faulty deliberately
+// Unwrap exposes the wrapped transport, so an Instrumented stacked
+// above a Faulty still finds the connection's byte counters. Faulty deliberately
 // does NOT implement TypedSender: every send must pass through Send
 // so the fault plan (drop/dup/reorder/partition) applies identically
 // on every link — SendMsg through a Faulty falls back to Seal+Send,

@@ -28,7 +28,7 @@ type TransportMetrics struct {
 // knownTypes is the closed protocol set the per-type counters cover.
 var knownTypes = []MessageType{
 	TypeHello, TypeQuote, TypeRequest, TypeSchedule,
-	TypeConverged, TypeBye, TypeHeartbeat, TypeQuoteBatch,
+	TypeConverged, TypeBye, TypeHeartbeat,
 }
 
 // NewTransportMetrics registers the frame counters on r; r may be nil.
@@ -140,7 +140,7 @@ func NewInstrumented(t Transport, m *TransportMetrics) *Instrumented {
 	return &Instrumented{inner: t, m: m, ws: findWireStats(t)}
 }
 
-// Unwrap exposes the wrapped transport to WireOf.
+// Unwrap exposes the wrapped transport to findWireStats.
 func (i *Instrumented) Unwrap() Transport { return i.inner }
 
 // countSentWire counts one successful send that crossed a connection.

@@ -40,11 +40,6 @@ const (
 	// from "the control plane is gone", which arms the degraded-mode
 	// fallback only in the second case.
 	TypeHeartbeat MessageType = "heartbeat"
-	// TypeQuoteBatch is the coalesced form of TypeQuote the grid sends
-	// on binary links: the shared CostSpec/round header plus the fleet
-	// total vector, from which each agent derives its own background
-	// load instead of receiving a per-agent Others copy.
-	TypeQuoteBatch MessageType = "quote_batch"
 )
 
 // Envelope is the frame around every message. Sealed and decoded
@@ -115,30 +110,6 @@ type Quote struct {
 	Live []bool `json:"live,omitempty"`
 }
 
-// QuoteBatch is the coalesced quote the grid broadcasts on binary
-// links: one frame per agent-turn block sharing the CostSpec, round
-// header, and the per-section fleet totals. An agent recovers its
-// Quote.Others as Totals[i] − own[i], where own is the allocation row
-// from its last ScheduleMsg (zero before the first). The frame is
-// self-contained — a retry simply re-sends it — and Own is included
-// explicitly only when the grid cannot prove the agent's row is in
-// sync (first contact, or after an own-sum mismatch).
-type QuoteBatch struct {
-	Round int    `json:"round"`
-	Epoch uint64 `json:"epoch"`
-	// FleetSize mirrors Quote.FleetSize for the degraded-mode fallback.
-	FleetSize int      `json:"fleet_size,omitempty"`
-	Cost      CostSpec `json:"cost"`
-	// Live mirrors Quote.Live; absent means all sections energized.
-	Live []bool `json:"live,omitempty"`
-	// Totals[i] is the whole fleet's scheduled draw on section i,
-	// including the recipient's own row.
-	Totals []float64 `json:"totals"`
-	// Own, when present, is the recipient's current allocation row and
-	// overrides whatever the agent remembered.
-	Own []float64 `json:"own,omitempty"`
-}
-
 // Request is an OLEV's best-response total power request (Eq. 21).
 type Request struct {
 	VehicleID string  `json:"vehicle_id"`
@@ -151,13 +122,6 @@ type Request struct {
 	// grid discards requests whose epoch no longer matches the current
 	// schedule version instead of water-filling a stale best-response.
 	Epoch uint64 `json:"epoch"`
-	// OwnKWSum is set only on answers to a QuoteBatch: the left-to-right
-	// sum of the own-allocation row the agent subtracted from the batch
-	// totals. The grid compares it bitwise against its copy of that row
-	// — a mismatch means a lost ScheduleMsg desynchronized the two, and
-	// the grid re-quotes with an explicit Own vector instead of
-	// installing a best-response computed against the wrong background.
-	OwnKWSum float64 `json:"own_kw_sum,omitempty"`
 }
 
 // ScheduleMsg notifies an OLEV of its allocation across sections.

@@ -452,7 +452,7 @@ func (t *slottedTransport) SendTyped(ctx context.Context, typ MessageType, from 
 	return t.Transport.Send(ctx, env)
 }
 
-// Unwrap exposes the accepted connection to WireOf.
+// Unwrap exposes the accepted connection to findWireStats.
 func (t *slottedTransport) Unwrap() Transport { return t.Transport }
 
 // Close stops the listener.

@@ -77,8 +77,7 @@ func TestSealOpenQuickProperty(t *testing.T) {
 	same := func(a, b Request) bool {
 		return a.VehicleID == b.VehicleID && a.Round == b.Round && a.Epoch == b.Epoch &&
 			math.Float64bits(a.TotalKW) == math.Float64bits(b.TotalKW) &&
-			math.Float64bits(a.DrawCapKW) == math.Float64bits(b.DrawCapKW) &&
-			math.Float64bits(a.OwnKWSum) == math.Float64bits(b.OwnKWSum)
+			math.Float64bits(a.DrawCapKW) == math.Float64bits(b.DrawCapKW)
 	}
 	f := func(id string, total, drawCap float64, round int, nonFinite uint8) bool {
 		switch nonFinite % 4 {

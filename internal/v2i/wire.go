@@ -1,39 +1,6 @@
 package v2i
 
-import (
-	"context"
-	"fmt"
-)
-
-// Wire identifies how a V2I link carries messages. The rule has no
-// option behind it: in-memory links (NewPair) pass sealed Envelope
-// values, and every connection-backed transport (Dial, Server.Accept,
-// NewConnTransport, NewPipePair) carries length-prefixed binary frames
-// from its first byte (DESIGN.md §14). Both carry the same
-// typed-binary body bytes. WireOf reports which one a transport is;
-// the coordinator sends coalesced QuoteBatch quotes only to
-// WireBinary links.
-type Wire uint8
-
-// The wire codecs.
-const (
-	// WireJSON is an in-memory link passing sealed Envelope values
-	// (named for the JSON bodies those once held).
-	WireJSON Wire = iota
-	// WireBinary is the length-prefixed fixed-layout binary codec.
-	WireBinary
-)
-
-// String names the codec for logs and metric labels.
-func (w Wire) String() string {
-	switch w {
-	case WireJSON:
-		return "json"
-	case WireBinary:
-		return "binary"
-	}
-	return fmt.Sprintf("wire(%d)", uint8(w))
-}
+import "context"
 
 // TypedSender is implemented by transports that can encode a typed
 // message body directly onto the wire, skipping the Envelope
@@ -62,20 +29,9 @@ func SendMsg(ctx context.Context, t Transport, typ MessageType, from string, seq
 }
 
 // Unwrapper is implemented by decorating transports (Instrumented,
-// Faulty, the accept-slot wrapper) so callers can discover properties
-// of the underlying connection without disturbing the decoration.
+// Faulty, the accept-slot wrapper) so an Instrumented link can find
+// the connection's byte counters beneath the decoration (findWireStats).
 type Unwrapper interface {
 	// Unwrap returns the transport this one decorates.
 	Unwrap() Transport
-}
-
-// WireOf reports the codec a transport carries, unwrapping
-// decorators: WireBinary when a connection-backed transport sits at
-// the bottom of the chain, WireJSON otherwise (in-memory pairs,
-// foreign implementations).
-func WireOf(t Transport) Wire {
-	if findWireStats(t) != nil {
-		return WireBinary
-	}
-	return WireJSON
 }

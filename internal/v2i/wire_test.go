@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -54,14 +55,7 @@ func testBodies() []struct {
 	}{
 		{TypeHello, &Hello{VehicleID: "ev-001", MaxPowerKW: 68, VelocityMS: 26.8, SOC: 0.41}, func() any { return new(Hello) }},
 		{TypeQuote, testQuote(), func() any { return new(Quote) }},
-		{TypeQuoteBatch, &QuoteBatch{
-			Round: 3, Epoch: 21, FleetSize: 5,
-			Cost:   CostSpec{Kind: "linear", BetaPerKWh: 0.03},
-			Live:   []bool{true, true, false},
-			Totals: []float64{10.5, 2.25, 0},
-			Own:    []float64{1.5, 0.75, 0},
-		}, func() any { return new(QuoteBatch) }},
-		{TypeRequest, &Request{VehicleID: "ev-001", TotalKW: 41.5, DrawCapKW: 12, Round: 7, Epoch: 13, OwnKWSum: 4.875}, func() any { return new(Request) }},
+		{TypeRequest, &Request{VehicleID: "ev-001", TotalKW: 41.5, DrawCapKW: 12, Round: 7, Epoch: 13}, func() any { return new(Request) }},
 		{TypeSchedule, &ScheduleMsg{VehicleID: "ev-001", AllocKW: []float64{2, 0, 1.5}, PaymentH: 0.8125, Round: 7}, func() any { return new(ScheduleMsg) }},
 		{TypeConverged, &Converged{Rounds: 11, CongestionDegree: 0.9, WelfarePerHour: 120.5}, func() any { return new(Converged) }},
 		{TypeBye, &Bye{Reason: "session complete"}, func() any { return new(Bye) }},
@@ -139,8 +133,9 @@ func TestSealedEnvelopeOverBinary(t *testing.T) {
 }
 
 // TestJSONBodyHasNoFrame: a body with no fixed layout, or an Envelope
-// holding JSON text, cannot be framed, and a frame whose body codec
-// byte is 1 (JSON body bytes, no longer a codec) is rejected.
+// holding JSON text, cannot be framed; a frame whose body codec byte
+// is 1 (JSON body bytes, no longer a codec) is rejected, and so is one
+// whose type code is 0 (invalid) or 8 (the retired coalesced quote).
 func TestJSONBodyHasNoFrame(t *testing.T) {
 	if _, err := AppendBinaryFrame(nil, TypeBye, "grid", 1, map[string]string{"reason": "x"}); err == nil {
 		t.Error("AppendBinaryFrame framed a body with no binary layout")
@@ -155,6 +150,13 @@ func TestJSONBodyHasNoFrame(t *testing.T) {
 	frame[binLenPrefix+1] = 1
 	if _, err := DecodeBinaryFrame(frame); err == nil || !strings.Contains(err.Error(), "unknown body codec 1") {
 		t.Errorf("decoding body codec 1 = %v, want unknown body codec", err)
+	}
+	for _, code := range []byte{0, 8} {
+		frame[binLenPrefix], frame[binLenPrefix+1] = code, bodyBinary
+		want := fmt.Sprintf("unknown binary message code %d", code)
+		if _, err := DecodeBinaryFrame(frame); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("decoding type code %d = %v, want %s", code, err, want)
+		}
 	}
 }
 
@@ -225,21 +227,43 @@ func TestFaultyComposesOverBinary(t *testing.T) {
 	}
 }
 
-// TestWireOfUnwrap checks WireOf sees through the decorator stack the
-// deployments actually build (Instrumented over Faulty over conn).
-func TestWireOfUnwrap(t *testing.T) {
-	a, b := NewPipePair()
-	defer a.Close()
-	defer b.Close()
-	wrapped := NewInstrumented(NewFaulty(a, FaultConfig{Seed: 1}), nil)
-	if w := WireOf(wrapped); w != WireBinary {
-		t.Fatalf("WireOf(wrapped binary conn) = %s, want binary", w)
+// TestInstrumentedCountsBytesThroughFaulty checks the byte counters
+// see through the decorator stack the deployments actually build
+// (Instrumented over Faulty over a connection): every frame sent and
+// received there is counted with its bytes, while an in-memory pair,
+// which carries no bytes, counts none.
+func TestInstrumentedCountsBytesThroughFaulty(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	exchange := func(t *testing.T, pair func() (Transport, Transport)) *TransportMetrics {
+		t.Helper()
+		a, b := pair()
+		defer a.Close()
+		defer b.Close()
+		tm := NewTransportMetrics(obs.NewRegistry())
+		ia := NewInstrumented(NewFaulty(a, FaultConfig{Seed: 1}), tm)
+		ib := NewInstrumented(b, tm)
+		errc := make(chan error, 1)
+		go func() { errc <- SendMsg(ctx, ia, TypeQuote, "grid", 1, testQuote()) }()
+		if _, err := ib.Recv(ctx); err != nil {
+			t.Fatalf("recv: %v", err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		return tm
 	}
-	ca, cb := NewPair(1)
-	defer ca.Close()
-	defer cb.Close()
-	if w := WireOf(NewInstrumented(ca, nil)); w != WireJSON {
-		t.Fatalf("WireOf(chan pair) = %s, want json", w)
+	frame, err := AppendBinaryFrame(nil, TypeQuote, "grid", 1, testQuote())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := exchange(t, NewPipePair)
+	if f, n := conn.FramesOnWire(), conn.BytesOnWire(); f != 2 || n != uint64(2*len(frame)) {
+		t.Fatalf("connection counted %d frames, %d bytes; want 2 frames, %d bytes", f, n, 2*len(frame))
+	}
+	mem := exchange(t, func() (Transport, Transport) { return NewPair(1) })
+	if f, n := mem.FramesOnWire(), mem.BytesOnWire(); f != 0 || n != 0 {
+		t.Fatalf("in-memory pair counted %d frames, %d bytes; want none", f, n)
 	}
 }
 

@@ -159,22 +159,6 @@ type (
 	SendWindow = v2i.SendWindow
 	// FaultyTransport injects faults in front of another transport.
 	FaultyTransport = v2i.Faulty
-	// Wire identifies how a V2I link carries messages: WireJSON
-	// (sealed envelopes with unicast quotes, on in-memory links) or
-	// WireBinary (length-prefixed binary frames with coalesced quote
-	// broadcasts, on every TCP or pipe connection). Both carry the
-	// same typed-binary message bodies.
-	Wire = v2i.Wire
-)
-
-// The V2I link kinds.
-const (
-	// WireJSON is the sealed envelope of in-memory links (named for the
-	// JSON bodies those once held).
-	WireJSON = v2i.WireJSON
-	// WireBinary is the length-prefixed binary framing of connections,
-	// with zero-allocation encode/decode.
-	WireBinary = v2i.WireBinary
 )
 
 var (
@@ -186,9 +170,6 @@ var (
 	// synchronous pipe — the in-process way to exercise the binary
 	// framing end to end.
 	NewV2IPipePair = v2i.NewPipePair
-	// V2IWireOf reports the codec a transport carries, unwrapping fault
-	// injectors and instrumentation.
-	V2IWireOf = v2i.WireOf
 	// CollectHellos accepts registrations on a TCP listener.
 	CollectHellos = sched.CollectHellos
 	// NewTransportPair returns connected in-memory transports.
