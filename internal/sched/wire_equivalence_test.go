@@ -13,20 +13,26 @@ import (
 	"olevgrid/internal/v2i"
 )
 
-// runWireGame runs a clean n-vehicle game and returns the
-// coordinator's report: on in-memory channel pairs (the links serve
-// and perfbench use), or with pipe on connection-backed pipe pairs.
-// Everything else — seeds, weights, tolerances — is held fixed, so two
-// calls differ only in the links.
-func runWireGame(t *testing.T, pipe bool, n, sections int) Report {
+// wireGame sizes one clean game of TestWireWelfareBitEquality.
+type wireGame struct {
+	n, sections, parallelism, maxRounds int
+	tol                                 float64
+	roundTimeout                        time.Duration
+}
+
+// runWireGame runs a clean game and returns the coordinator's report:
+// on in-memory channel pairs, or with pipe on connection-backed pipe
+// pairs. Everything else — seeds, weights, tolerances — is held fixed,
+// so two calls differ only in the links.
+func runWireGame(t *testing.T, pipe bool, g wireGame) Report {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	links := make(map[string]v2i.Transport, n)
+	links := make(map[string]v2i.Transport, g.n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("ev-%02d", i)
+	for i := 0; i < g.n; i++ {
+		id := fmt.Sprintf("ev-%04d", i)
 		gridSide, vehSide := v2i.NewPair(64)
 		if pipe {
 			gridSide, vehSide = v2i.NewPipePair()
@@ -49,13 +55,13 @@ func runWireGame(t *testing.T, pipe bool, n, sections int) Report {
 	}
 
 	coord, err := NewCoordinator(CoordinatorConfig{
-		NumSections:    sections,
+		NumSections:    g.sections,
 		LineCapacityKW: 53.55,
 		Cost:           nonlinearSpec(),
-		Tolerance:      1e-4,
-		MaxRounds:      80,
-		RoundTimeout:   2 * time.Second,
-		Parallelism:    4,
+		Tolerance:      g.tol,
+		MaxRounds:      g.maxRounds,
+		RoundTimeout:   g.roundTimeout,
+		Parallelism:    g.parallelism,
 		ShutdownGrace:  200 * time.Millisecond,
 		Seed:           11,
 	}, links)
@@ -74,50 +80,62 @@ func runWireGame(t *testing.T, pipe bool, n, sections int) Report {
 	return report
 }
 
-// TestWireWelfareBitEquality is the cross-codec determinism gate: the
+// TestWireWelfareBitEquality is the cross-link determinism gate: the
 // same game played over in-memory links (sealed envelopes) and over
-// binary connections (length-prefixed frames) must land on the same
+// pipe connections (length-prefixed frames) must land on the same
 // equilibrium to the last bit — welfare, rounds, every request, and
 // every schedule row. This holds because both links carry the same
 // unicast quotes as exact float64 bits, each derived as totals − own
-// with totals accumulated in sorted vehicle-ID order.
+// with totals accumulated in sorted vehicle-ID order. The n1000 row is
+// a 1000-vehicle, 20-section game in sequential turns, the dynamics
+// Theorem IV.1 guarantees to converge (8 rounds).
 func TestWireWelfareBitEquality(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cross-wire game takes seconds")
+		t.Skip("cross-link games take seconds")
 	}
-	const n, sections = 12, 8
-	jr := runWireGame(t, false, n, sections)
-	br := runWireGame(t, true, n, sections)
+	for _, tc := range []struct {
+		name string
+		g    wireGame
+	}{
+		{"n12", wireGame{n: 12, sections: 8, parallelism: 4, maxRounds: 80, tol: 1e-4, roundTimeout: 2 * time.Second}},
+		{"n1000", wireGame{n: 1000, sections: 20, parallelism: 1, maxRounds: 300, tol: 1e-3, roundTimeout: 30 * time.Second}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pair := runWireGame(t, false, tc.g)
+			pipe := runWireGame(t, true, tc.g)
+			t.Logf("%d rounds, welfare cost %v", pair.Rounds, pair.WelfareCost)
 
-	if jr.Rounds != br.Rounds {
-		t.Errorf("rounds: json %d, binary %d", jr.Rounds, br.Rounds)
-	}
-	if math.Float64bits(jr.WelfareCost) != math.Float64bits(br.WelfareCost) {
-		t.Errorf("welfare cost bits: json %v (%x), binary %v (%x)",
-			jr.WelfareCost, math.Float64bits(jr.WelfareCost),
-			br.WelfareCost, math.Float64bits(br.WelfareCost))
-	}
-	if math.Float64bits(jr.CongestionDegree) != math.Float64bits(br.CongestionDegree) {
-		t.Errorf("congestion degree: json %v, binary %v", jr.CongestionDegree, br.CongestionDegree)
-	}
-	if len(jr.Requests) != len(br.Requests) {
-		t.Fatalf("fleet size: json %d, binary %d", len(jr.Requests), len(br.Requests))
-	}
-	for id, jp := range jr.Requests {
-		if bp, ok := br.Requests[id]; !ok || math.Float64bits(jp) != math.Float64bits(bp) {
-			t.Errorf("request %s: json %v, binary %v", id, jp, br.Requests[id])
-		}
-	}
-	for id, jrow := range jr.Schedule {
-		brow := br.Schedule[id]
-		if len(brow) != len(jrow) {
-			t.Fatalf("schedule %s: json width %d, binary width %d", id, len(jrow), len(brow))
-		}
-		for i := range jrow {
-			if math.Float64bits(jrow[i]) != math.Float64bits(brow[i]) {
-				t.Errorf("schedule %s[%d]: json %v, binary %v", id, i, jrow[i], brow[i])
+			if pair.Rounds != pipe.Rounds {
+				t.Errorf("rounds: pair %d, pipe %d", pair.Rounds, pipe.Rounds)
 			}
-		}
+			if math.Float64bits(pair.WelfareCost) != math.Float64bits(pipe.WelfareCost) {
+				t.Errorf("welfare cost bits: pair %v (%x), pipe %v (%x)",
+					pair.WelfareCost, math.Float64bits(pair.WelfareCost),
+					pipe.WelfareCost, math.Float64bits(pipe.WelfareCost))
+			}
+			if math.Float64bits(pair.CongestionDegree) != math.Float64bits(pipe.CongestionDegree) {
+				t.Errorf("congestion degree: pair %v, pipe %v", pair.CongestionDegree, pipe.CongestionDegree)
+			}
+			if len(pair.Requests) != len(pipe.Requests) {
+				t.Fatalf("fleet size: pair %d, pipe %d", len(pair.Requests), len(pipe.Requests))
+			}
+			for id, p := range pair.Requests {
+				if q, ok := pipe.Requests[id]; !ok || math.Float64bits(p) != math.Float64bits(q) {
+					t.Errorf("request %s: pair %v, pipe %v", id, p, pipe.Requests[id])
+				}
+			}
+			for id, prow := range pair.Schedule {
+				qrow := pipe.Schedule[id]
+				if len(qrow) != len(prow) {
+					t.Fatalf("schedule %s: pair width %d, pipe width %d", id, len(prow), len(qrow))
+				}
+				for i := range prow {
+					if math.Float64bits(prow[i]) != math.Float64bits(qrow[i]) {
+						t.Errorf("schedule %s[%d]: pair %v, pipe %v", id, i, prow[i], qrow[i])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -129,7 +147,7 @@ func TestNaNRequestRejectedOnEveryLink(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		pipe bool
-	}{{"json", false}, {"binary", true}} {
+	}{{"pair", false}, {"pipe", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 			defer cancel()

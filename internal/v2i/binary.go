@@ -12,11 +12,12 @@ package v2i
 //
 // Scalars are little-endian; float64s are IEEE-754 bits; strings are
 // u16-length-prefixed bytes; slices are a u32 element count followed
-// by the elements (count 0 decodes to nil). The body layout is also
-// what Seal writes into an Envelope, so a sealed envelope — the form
-// wrappers such as the fault injector see — rides a connection with
-// its body bytes forwarded verbatim. The decoder rejects any other
-// body codec value, including 1, which once carried JSON body bytes.
+// by the elements (count 0 decodes to nil). The body layout is the
+// only body encoding: Seal writes it into an Envelope, so a sealed
+// envelope — the form in-memory links and wrappers such as the fault
+// injector see — rides a connection with its body bytes forwarded
+// verbatim, and a decoded frame is an Envelope of the same bytes. The
+// decoder rejects any body codec value but 0; 1 is retired.
 //
 // Everything here is allocation-free in steady state: encoding
 // appends into a caller-owned scratch buffer, and decoding aliases
@@ -24,7 +25,6 @@ package v2i
 // distinct peer/vehicle ID strings a connection ever sees.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -38,9 +38,9 @@ const (
 	binMinPayload = 1 + 1 + 2 + 8
 )
 
-// bodyBinary is the typed-binary body codec value, the only one a
+// typedBodyCodec is the typed-binary body codec value, the only one a
 // frame may carry.
-const bodyBinary = 0
+const typedBodyCodec = 0
 
 // Message type codes. 0 is reserved as invalid.
 var binCodes = map[MessageType]byte{
@@ -293,7 +293,7 @@ func finishFrame(dst []byte, start int) ([]byte, error) {
 
 func appendFrameHeader(dst []byte, code byte, from string, seq uint64) ([]byte, error) {
 	dst = append(dst, 0, 0, 0, 0) // length prefix placeholder
-	dst = append(dst, code, bodyBinary)
+	dst = append(dst, code, typedBodyCodec)
 	dst, err := appendStr16(dst, from)
 	if err != nil {
 		return dst, err
@@ -328,14 +328,11 @@ func AppendBinaryFrame(dst []byte, typ MessageType, from string, seq uint64, bod
 
 // EncodeBinaryFrame appends one complete binary frame for a sealed or
 // decoded Envelope to dst, forwarding its typed-binary body bytes
-// verbatim. An Envelope with a JSON body is an error.
+// verbatim.
 func EncodeBinaryFrame(dst []byte, env Envelope) ([]byte, error) {
 	code, ok := binCodes[env.Type]
 	if !ok {
 		return dst, fmt.Errorf("v2i: no binary code for message type %q", env.Type)
-	}
-	if !env.bodyBin {
-		return dst, fmt.Errorf("v2i: %s envelope has a JSON body, which no binary frame carries", env.Type)
 	}
 	start := len(dst)
 	out, err := appendFrameHeader(dst, code, env.From, env.Seq)
@@ -426,7 +423,7 @@ func (r *binReader) str(d *FrameDecoder, old string) string {
 }
 
 // f64s decodes a float64 slice into dst's storage when it has the
-// capacity. Count 0 yields nil, matching JSON omitempty.
+// capacity. Count 0 yields nil.
 func (r *binReader) f64s(dst []float64) []float64 {
 	n := int(r.u32())
 	if r.err || n <= 0 {
@@ -603,17 +600,10 @@ func (d *FrameDecoder) parsePayload(p []byte) (Envelope, error) {
 	if int(code) >= len(binTypes) || binTypes[code] == "" {
 		return Envelope{}, fmt.Errorf("v2i: unknown binary message code %d", code)
 	}
-	if codec != bodyBinary {
+	if codec != typedBodyCodec {
 		return Envelope{}, fmt.Errorf("v2i: unknown body codec %d", codec)
 	}
-	return Envelope{
-		Type:    binTypes[code],
-		From:    from,
-		Seq:     seq,
-		Body:    json.RawMessage(p[r.off:]),
-		bodyBin: true,
-		dec:     d,
-	}, nil
+	return Envelope{Type: binTypes[code], From: from, Seq: seq, Body: p[r.off:], dec: d}, nil
 }
 
 // decodeBinaryBody decodes a typed-binary body into out, reusing

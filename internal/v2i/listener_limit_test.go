@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"olevgrid/internal/obs"
 )
 
 // With SetMaxConns armed, Accept must pause at the limit — dialers
@@ -136,5 +138,64 @@ func TestAcceptLimitDoubleCloseAndShutdown(t *testing.T) {
 		}
 	case <-ctx.Done():
 		t.Fatal("accept did not end after listener close")
+	}
+}
+
+// An accepted transport under SetMaxConns keeps the connection's typed
+// send path and byte counters: a quote goes out with no allocation,
+// and Instrumented counts every frame with its bytes.
+func TestAcceptLimitKeepsTypedSendPath(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	srv.SetMaxConns(1)
+	got := make(chan Transport, 1)
+	go func() {
+		tr, _ := srv.Accept()
+		got <- tr
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c, err := Dial(ctx, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	tr := <-got
+	if tr == nil {
+		t.Fatal("accept failed")
+	}
+	defer func() { _ = tr.Close() }()
+
+	m := NewTransportMetrics(obs.NewRegistry())
+	grid := NewInstrumented(tr, m)
+	q := testQuote()
+	// The 101 frames fit the loopback socket buffers, so no reader
+	// runs (and allocates) while the sends are counted.
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := grid.SendTyped(ctx, TypeQuote, "grid", 1, q); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+	}); allocs != 0 {
+		t.Errorf("accepted SendTyped allocates %v/op, want 0", allocs)
+	}
+	frame, err := AppendBinaryFrame(nil, TypeQuote, "grid", 1, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, n := m.FramesOnWire(), m.BytesOnWire(); f != 101 || n != uint64(101*len(frame)) {
+		t.Errorf("counted %d frames, %d bytes; want 101 frames, %d bytes", f, n, 101*len(frame))
+	}
+	for i := 0; i < 101; i++ {
+		env, err := c.Recv(ctx)
+		if err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		var out Quote
+		if err := Open(env, TypeQuote, &out); err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
 	}
 }

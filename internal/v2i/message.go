@@ -9,13 +9,10 @@
 // codec (binary.go): Seal writes it, a connection frame carries it,
 // and Open reads it back. Float64s travel as their IEEE-754 bits, so a
 // message crosses an in-memory link and a connection bit for bit
-// alike. A body type with no fixed layout is sealed as JSON.
+// alike. A body type with no fixed layout cannot be sealed.
 package v2i
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // MessageType discriminates envelope payloads.
 type MessageType string
@@ -42,24 +39,19 @@ const (
 	TypeHeartbeat MessageType = "heartbeat"
 )
 
-// Envelope is the frame around every message. Sealed and decoded
-// envelopes carry a typed-binary Body, so they do not marshal as JSON;
-// an Envelope literal whose Body is JSON text still Opens, through
-// encoding/json.
+// Envelope is the frame around every message: the header of a binary
+// frame and its typed-binary Body. A sealed Envelope and one decoded
+// from a frame are the same value.
 type Envelope struct {
-	Type MessageType     `json:"type"`
-	From string          `json:"from"`
-	Seq  uint64          `json:"seq"`
-	Body json.RawMessage `json:"body,omitempty"`
+	Type MessageType
+	From string
+	Seq  uint64
+	Body []byte
 
-	// bodyBin marks Body as typed-binary codec bytes rather than JSON;
-	// Seal and the binary frame decoder set it. dec is the decoder
-	// whose scratch a decoded Body aliases (its intern cache keeps
-	// repeated ID strings allocation-free); nil for a sealed envelope,
-	// which owns its Body. Both are zero in an Envelope literal, whose
-	// Body is therefore read as JSON.
-	bodyBin bool
-	dec     *FrameDecoder
+	// dec is the decoder whose scratch a decoded Body aliases (its
+	// intern cache keeps repeated ID strings allocation-free); nil for
+	// a sealed envelope, which owns its Body.
+	dec *FrameDecoder
 }
 
 // Hello registers a vehicle.
@@ -161,37 +153,24 @@ type Heartbeat struct {
 // codec's (a string longer than 65535 bytes, or an int outside int32,
 // which the wire carries in four bytes). NaN and ±Inf are encoded like any
 // other bits, as on a connection: receivers reject them where they are
-// invalid. Any other body is marshalled with encoding/json, whose
-// error Seal returns.
+// invalid. A body with no binary layout is an error.
 func Seal(t MessageType, from string, seq uint64, body any) (Envelope, error) {
 	raw, ok, err := appendBinaryBody(make([]byte, 0, binaryBodySize(body)), body)
 	if err != nil {
 		return Envelope{}, err
 	}
-	if ok {
-		return Envelope{Type: t, From: from, Seq: seq, Body: raw, bodyBin: true}, nil
-	}
-	if raw, err = json.Marshal(body); err != nil {
-		return Envelope{}, fmt.Errorf("v2i: marshal %s: %w", t, err)
+	if !ok {
+		return Envelope{}, fmt.Errorf("v2i: %s body %T has no binary layout", t, body)
 	}
 	return Envelope{Type: t, From: from, Seq: seq, Body: raw}, nil
 }
 
-// Open decodes an envelope body into out, checking the type tag. A
-// typed-binary body — every sealed or frame-decoded protocol message —
-// takes the fixed-layout path, which reuses out's slice storage and
-// rejects truncated or trailing bytes. A JSON body (an Envelope built
-// by hand, or a sealed body with no fixed layout) decodes with
-// json.Unmarshal.
+// Open decodes an envelope's typed-binary body into out, checking the
+// type tag. It reuses out's slice storage and rejects truncated or
+// trailing bytes.
 func Open(env Envelope, want MessageType, out any) error {
 	if env.Type != want {
 		return fmt.Errorf("v2i: got %s, want %s", env.Type, want)
 	}
-	if env.bodyBin {
-		return decodeBinaryBody(env.Type, env.Body, env.dec, out)
-	}
-	if err := json.Unmarshal(env.Body, out); err != nil {
-		return fmt.Errorf("v2i: unmarshal %s: %w", want, err)
-	}
-	return nil
+	return decodeBinaryBody(env.Type, env.Body, env.dec, out)
 }

@@ -408,9 +408,9 @@ func (s *Server) Accept() (Transport, error) {
 			}
 			return nil, fmt.Errorf("v2i: accept: %w", err)
 		}
-		var t Transport = newConnTransport(conn, s.ConnTimeouts, connReaderBytes)
+		t := newConnTransport(conn, s.ConnTimeouts, connReaderBytes)
 		if s.slots != nil {
-			t = &slottedTransport{Transport: t, slots: s.slots}
+			return &slottedTransport{tcpTransport: t, slots: s.slots}, nil
 		}
 		return t, nil
 	}
@@ -425,35 +425,19 @@ func isTemporary(err error) bool {
 }
 
 // slottedTransport returns its accept slot exactly once on Close.
+// Embedding the connection promotes its typed send path and byte
+// counters.
 type slottedTransport struct {
-	Transport
+	*tcpTransport
 	slots chan struct{}
 	once  sync.Once
 }
 
 func (t *slottedTransport) Close() error {
-	err := t.Transport.Close()
+	err := t.tcpTransport.Close()
 	t.once.Do(func() { <-t.slots })
 	return err
 }
-
-// SendTyped forwards the typed zero-alloc send path when the wrapped
-// transport offers it; embedding the Transport interface alone would
-// hide it, silently downgrading every accepted daemon connection to
-// the envelope path.
-func (t *slottedTransport) SendTyped(ctx context.Context, typ MessageType, from string, seq uint64, body any) error {
-	if ts, ok := t.Transport.(TypedSender); ok {
-		return ts.SendTyped(ctx, typ, from, seq, body)
-	}
-	env, err := Seal(typ, from, seq, body)
-	if err != nil {
-		return err
-	}
-	return t.Transport.Send(ctx, env)
-}
-
-// Unwrap exposes the accepted connection to findWireStats.
-func (t *slottedTransport) Unwrap() Transport { return t.Transport }
 
 // Close stops the listener.
 func (s *Server) Close() error { return s.ln.Close() }

@@ -136,14 +136,16 @@ func TestTCPOversizedFrameRejectedOnSend(t *testing.T) {
 
 // TestJSONPeerRejectedOnFirstFrame: a connection is binary as soon as
 // it is built, and a peer that writes newline-delimited JSON onto it —
-// as a dialer or as a listener — is rejected on its first frame. Its opening `{"ty` reads as the length prefix
-// 0x7974227B, which the frame bound refuses before sizing any buffer:
-// no hang, and no allocation anywhere near the announced size.
+// as a dialer or as a listener — is rejected on its first frame. Its
+// opening `{"ty` reads as the length prefix 0x7974227B, which the
+// frame bound refuses before sizing any buffer: no hang, and no
+// allocation anywhere near the announced size.
 func TestJSONPeerRejectedOnFirstFrame(t *testing.T) {
 	line, err := jsonFrame(TypeHello, "ev-001", 1, &Hello{VehicleID: "ev-001", MaxPowerKW: 68})
 	if err != nil {
 		t.Fatal(err)
 	}
+	line = append(line, '\n')
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 

@@ -3,8 +3,8 @@ package v2i
 import "context"
 
 // TypedSender is implemented by transports that can encode a typed
-// message body directly onto the wire, skipping the Envelope
-// marshalling round trip: on a connection it is the zero-allocation
+// message body directly into a frame, skipping the sealed Envelope
+// and its body allocation: on a connection it is the zero-allocation
 // send path. Wrappers that must see every frame as an Envelope — the
 // fault injector in particular — deliberately do not implement it, so
 // SendMsg through them falls back to the envelope path and the fault
@@ -29,8 +29,8 @@ func SendMsg(ctx context.Context, t Transport, typ MessageType, from string, seq
 }
 
 // Unwrapper is implemented by decorating transports (Instrumented,
-// Faulty, the accept-slot wrapper) so an Instrumented link can find
-// the connection's byte counters beneath the decoration (findWireStats).
+// Faulty) so an Instrumented link can find the connection's byte
+// counters beneath the decoration (findWireStats).
 type Unwrapper interface {
 	// Unwrap returns the transport this one decorates.
 	Unwrap() Transport
